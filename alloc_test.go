@@ -357,6 +357,74 @@ func TestMappedEpochAllocFree(t *testing.T) {
 	}
 }
 
+// TestSegmentEpochAllocFree pins allocation-free cold reads: once a
+// segment's block is inflated and the decoder's key columns have grown,
+// scanning it again (diffs replayed from the block's full epoch) with a
+// reused buffer must not allocate. The /flows scan loop relies on it for
+// every epoch after a block's first.
+func TestSegmentEpochAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
+		flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRecorder(t, rec, benchFlows)
+	records := rec.Records()
+	netwide.SortByKey(records)
+
+	// Each epoch leaves out a different sixteenth of the flows, so every
+	// diff has dropped, carried and inserted runs.
+	const epochs = 8
+	var img writableBuffer
+	sw := recordstore.NewSegmentWriter(&img, recordstore.SegmentCold)
+	var epoch []flow.Record
+	for e := 0; e < epochs; e++ {
+		epoch = epoch[:0]
+		for i, r := range records {
+			if i%16 != e {
+				epoch = append(epoch, r)
+			}
+		}
+		if err := sw.Add(recordstore.SegmentEpoch{Time: time.Unix(int64(e), 0), Records: epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := recordstore.OpenSegmentBytes(img.b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+
+	var buf []flow.Record
+	var rerr error
+	scan := func() {
+		for e := 0; e < epochs && rerr == nil; e++ {
+			var ep recordstore.Epoch
+			ep, rerr = seg.AppendEpochAt(e, buf[:0])
+			buf = ep.Records
+		}
+	}
+	scan() // warm: inflate the block, grow the key columns and buf
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(buf) != len(epoch) {
+		t.Fatalf("decoded %d records, want %d", len(buf), len(epoch))
+	}
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Errorf("a warm segment scan allocates %.0f times per %d epochs, want 0", allocs, epochs)
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+}
+
 // TestTelemetryAllocFree pins the telemetry layer's core promise: the
 // instruments themselves never allocate — neither live ones on the
 // update path nor the nil receivers every uninstrumented call site

@@ -1,10 +1,16 @@
-// The store experiment: the tiered recordstore's cost model. Three
-// measurements — how much the cold tier's delta+DEFLATE encoding shrinks
-// sorted epoch data vs the hot mmap encoding, what scanning each tier
-// costs, and how long compaction's hot-file rewrite stalls the write
-// path. The compression ratio is a gated quality metric: BENCH_store.json
-// pins it so a format change that quietly loses the ≥3x win fails the
-// benchdiff gate (and the recordstore unit tests pin the floor harder).
+// The store experiment: the tiered recordstore's cost model. Four
+// measurements — how much the cold tier's key-diff + DEFLATE encoding
+// shrinks sorted epoch data vs the hot mmap encoding, what scanning each
+// tier costs, what one cold point read costs, and how long compaction's
+// hot-file rewrite stalls the write path. The cold format codes each
+// epoch's keys against the previous epoch's, so the first two are
+// reported per share of keys that carry over from one epoch to the next:
+// all of them, 85% (what the end-to-end benchmark's generators and a
+// HashFlow vantage produce), and none, where the format must fall back to
+// coding every epoch in full and cost nothing extra. The ratios are gated
+// quality metrics: BENCH_store.json pins them so a format change that
+// quietly loses the win fails the benchdiff gate (and the recordstore unit
+// tests pin the floors harder).
 package main
 
 import (
@@ -21,14 +27,10 @@ import (
 	"repro/recordstore"
 )
 
-// storeCompressionRow is one hot-vs-cold size measurement. The shape
-// matters: cold blocks concatenate the per-epoch key columns before one
-// DEFLATE stream, so when an epoch's key column fits the 32KB DEFLATE
-// window, the next epoch's recurring keys compress as back-references
-// (the persistent-flow case, where the ratio is large); epochs much
-// bigger than the window only shed per-record delta redundancy.
+// storeCompressionRow is one hot-vs-cold size measurement.
 type storeCompressionRow struct {
 	Shape            string  `json:"shape"`
+	CarriedShare     float64 `json:"carried_share"`
 	Epochs           int     `json:"epochs"`
 	RecordsPerE      int     `json:"records_per_epoch"`
 	HotBytes         int64   `json:"hot_bytes"`
@@ -36,12 +38,24 @@ type storeCompressionRow struct {
 	CompressionRatio float64 `json:"compression_ratio"`
 }
 
-// storeScanRow is one tier's full-scan throughput.
+// storeScanRow is one shape's full-scan cost in both tiers, measured in
+// the same run so their ratio is machine-independent.
 type storeScanRow struct {
-	Tier        string  `json:"tier"`
-	Epochs      int     `json:"epochs"`
+	Shape                string  `json:"shape"`
+	Epochs               int     `json:"epochs"`
+	HotNsPerRecord       float64 `json:"hot_ns_per_record"`
+	ColdNsPerRecord      float64 `json:"cold_ns_per_record"`
+	HotOverColdScanRatio float64 `json:"hot_over_cold_scan_ratio"`
+}
+
+// storePointReadRow is the worst-placed cold point read: open the segment
+// afresh and decode the last epoch of a full block, which inflates the
+// block and replays every diff in it.
+type storePointReadRow struct {
+	Shape       string  `json:"shape"`
+	BlockEpochs int     `json:"block_epochs"`
+	ReadUs      float64 `json:"read_us"`
 	NsPerRecord float64 `json:"ns_per_record"`
-	MRecPerS    float64 `json:"mrec_per_s"`
 }
 
 // storeStallRow summarizes the write-path stall compaction caused.
@@ -52,14 +66,41 @@ type storeStallRow struct {
 	MaxStallUs   float64 `json:"max_stall_us"`
 }
 
+// storeShape is one epoch population of the experiment: the first n of
+// the recorder's key-sorted records, of which carried (in twentieths) keep
+// their key from epoch to epoch while the rest get a new one every epoch.
+type storeShape struct {
+	name    string
+	n       int
+	carried int
+}
+
+// epoch writes epoch e of the shape into dst (len n): counts drift so
+// successive epochs are similar but never identical, and every record
+// outside the carried share has its destination address remapped by a
+// per-epoch constant, which makes it a key no other epoch holds while
+// leaving it beside its neighbours in the sort order, the way new flows
+// turn up all over the key space.
+func (sh storeShape) epoch(dst, base []flow.Record, e int) {
+	churn := uint32(e+1) * 2654435761 // odd multiplier: distinct and non-zero per epoch
+	for i := range dst {
+		dst[i] = base[i]
+		dst[i].Count = uint32(1000 + (e*31+i*7)%97)
+		if i%20 >= sh.carried {
+			dst[i].Key.DstIP ^= churn
+		}
+	}
+	if sh.carried < 20 {
+		netwide.SortByKey(dst)
+	}
+}
+
 // runStoreBench measures the tiered storage layer: cold-tier compression
-// ratio on sorted epoch data, cold-scan vs hot-scan decode throughput,
-// and the compaction stall the ingest path observes.
+// ratio on sorted epoch data, cold-scan vs hot-scan decode throughput, a
+// cold point read, and the compaction stall the ingest path observes.
 func runStoreBench(cfg config, w io.Writer) error {
-	// Epoch shape: a realistic key population from the trace generator,
-	// key-sorted once, with per-epoch count drift — the persistent-flow
-	// traffic the compactor actually migrates. Counts drift so successive
-	// epochs are similar but never identical.
+	// Key population: what a HashFlow recorder holds after a generated
+	// trace, key-sorted once — the records the compactor actually migrates.
 	tr, err := trace2(cfg)
 	if err != nil {
 		return err
@@ -73,14 +114,9 @@ func runStoreBench(cfg config, w io.Writer) error {
 	}
 	records := rec.Records()
 	netwide.SortByKey(records)
-	epochs := 256
+	epochs, passes := 256, 4
 	if cfg.quick {
-		epochs = 32
-	}
-	drift := func(recs []flow.Record, e int) {
-		for i := range recs {
-			recs[i].Count = uint32(1000 + (e*31+i*7)%97)
-		}
+		epochs, passes = 32, 2
 	}
 
 	dir, err := os.MkdirTemp("", "flowbench-store")
@@ -89,149 +125,87 @@ func runStoreBench(cfg config, w io.Writer) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// (1) Compression: the same epochs through the hot FREC encoding and
-	// through a cold segment, at two epoch shapes. The 2k-record
-	// persistent-flow shape is the ≥3x contract the unit tests pin; the
-	// full-size shape tracks what window-exceeding epochs still save.
-	writeBoth := func(name string, recs []flow.Record) (storeCompressionRow, error) {
-		hotPath := dir + "/" + name + ".frec"
-		hf, err := os.Create(hotPath)
-		if err != nil {
-			return storeCompressionRow{}, err
-		}
-		hw := recordstore.NewWriter(hf)
-		segPath := dir + "/" + name + ".cseg"
-		sf, err := os.Create(segPath)
-		if err != nil {
-			return storeCompressionRow{}, err
-		}
-		sw := recordstore.NewSegmentWriter(sf, recordstore.SegmentCold)
-		for e := 0; e < epochs; e++ {
-			drift(recs, e)
-			ts := time.Unix(int64(e)*60, 0)
-			if err := hw.WriteEpoch(ts, recs); err != nil {
-				return storeCompressionRow{}, err
-			}
-			if err := sw.Add(recordstore.SegmentEpoch{Time: ts, Records: recs}); err != nil {
-				return storeCompressionRow{}, err
-			}
-		}
-		if err := hw.Flush(); err != nil {
-			return storeCompressionRow{}, err
-		}
-		if err := hf.Close(); err != nil {
-			return storeCompressionRow{}, err
-		}
-		if err := sw.Close(); err != nil {
-			return storeCompressionRow{}, err
-		}
-		if err := sf.Close(); err != nil {
-			return storeCompressionRow{}, err
+	// (1) and (2), shape by shape: the same epochs through the hot FREC
+	// encoding and through a cold segment, then a full scan of each. The
+	// 2k-record persistent-flow shape is the small-epoch contract the unit
+	// tests pin; the full-size shapes are the recorder's whole table.
+	shapes := []storeShape{
+		{"persistent", min(2000, len(records)), 20},
+		{"full", len(records), 20},
+		{"full-carry85", len(records), 17},
+		{"full-carry0", len(records), 0},
+	}
+	var compRows []storeCompressionRow
+	var scanRows []storeScanRow
+	var pointRow storePointReadRow
+	buf := make([]flow.Record, len(records))
+	for _, sh := range shapes {
+		hotPath, segPath := dir+"/"+sh.name+".frec", dir+"/"+sh.name+".cseg"
+		if err := writeStoreShape(sh, records, buf[:sh.n], epochs, hotPath, segPath); err != nil {
+			return err
 		}
 		hotSt, err := os.Stat(hotPath)
 		if err != nil {
-			return storeCompressionRow{}, err
+			return err
 		}
 		segSt, err := os.Stat(segPath)
 		if err != nil {
-			return storeCompressionRow{}, err
+			return err
 		}
-		return storeCompressionRow{
-			Shape:            name,
+		compRows = append(compRows, storeCompressionRow{
+			Shape:            sh.name,
+			CarriedShare:     float64(sh.carried) / 20,
 			Epochs:           epochs,
-			RecordsPerE:      len(recs),
+			RecordsPerE:      sh.n,
 			HotBytes:         hotSt.Size(),
 			SegmentBytes:     segSt.Size(),
 			CompressionRatio: float64(hotSt.Size()) / float64(segSt.Size()),
-		}, nil
-	}
-	persistent := records
-	if len(persistent) > 2000 {
-		persistent = persistent[:2000]
-	}
-	var compRows []storeCompressionRow
-	comp, err := writeBoth("persistent", persistent)
-	if err != nil {
-		return err
-	}
-	compRows = append(compRows, comp)
-	if len(records) > 2*len(persistent) {
-		full, err := writeBoth("full", records)
-		if err != nil {
-			return err
+		})
+		if sh.n == len(records) {
+			row, err := scanStoreShape(sh, epochs, passes, hotPath, segPath)
+			if err != nil {
+				return err
+			}
+			scanRows = append(scanRows, row)
 		}
-		compRows = append(compRows, full)
+		if sh.name == "full-carry85" {
+			// (3) The point read, on the shape real stores hold.
+			if pointRow, err = pointReadStoreShape(sh, 4*passes, segPath, buf); err != nil {
+				return err
+			}
+		}
+		// The full-scale files run to hundreds of megabytes each.
+		os.Remove(hotPath)
+		os.Remove(segPath)
 	}
-	if _, err := fmt.Fprintln(w, "compression\tepochs\trecords_per_epoch\thot_bytes\tsegment_bytes\tratio"); err != nil {
+
+	if _, err := fmt.Fprintln(w, "compression\tcarried\tepochs\trecords_per_epoch\thot_bytes\tsegment_bytes\tratio"); err != nil {
 		return err
 	}
 	for _, row := range compRows {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2f\n",
-			row.Shape, row.Epochs, row.RecordsPerE, row.HotBytes, row.SegmentBytes, row.CompressionRatio); err != nil {
+		if _, err := fmt.Fprintf(w, "%s\t%.2f\t%d\t%d\t%d\t%d\t%.2f\n",
+			row.Shape, row.CarriedShare, row.Epochs, row.RecordsPerE, row.HotBytes, row.SegmentBytes, row.CompressionRatio); err != nil {
 			return err
 		}
 	}
-
-	// (2) Full-scan decode throughput, hot mmap vs cold inflate, over the
-	// largest shape written above.
-	passes := 4
-	if cfg.quick {
-		passes = 2
-	}
-	scanShape := compRows[len(compRows)-1]
-	hotPath := dir + "/" + scanShape.Shape + ".frec"
-	segPath := dir + "/" + scanShape.Shape + ".cseg"
-	mapped, err := recordstore.OpenMapped(hotPath)
-	if err != nil {
-		return err
-	}
-	defer mapped.Close()
-	seg, err := recordstore.OpenSegment(segPath)
-	if err != nil {
-		return err
-	}
-	defer seg.Close()
-	scan := func(src recordstore.EpochSource) (int64, error) {
-		return bestNs(passes, func() error {
-			var buf []flow.Record
-			for i := 0; i < src.Epochs(); i++ {
-				ep, err := src.AppendEpochAt(i, buf[:0])
-				if err != nil {
-					return err
-				}
-				buf = ep.Records
-			}
-			return nil
-		})
-	}
-	hotNs, err := scan(mapped)
-	if err != nil {
-		return err
-	}
-	coldNs, err := scan(seg)
-	if err != nil {
-		return err
-	}
-	totalRecs := epochs * scanShape.RecordsPerE
-	scanRows := []storeScanRow{
-		{Tier: "hot", Epochs: epochs,
-			NsPerRecord: float64(hotNs) / float64(totalRecs),
-			MRecPerS:    float64(totalRecs) / (float64(hotNs) / 1e9) / 1e6},
-		{Tier: "cold", Epochs: epochs,
-			NsPerRecord: float64(coldNs) / float64(totalRecs),
-			MRecPerS:    float64(totalRecs) / (float64(coldNs) / 1e9) / 1e6},
-	}
-	if _, err := fmt.Fprintln(w, "scan\tepochs\tns_per_record\tMrec_per_s"); err != nil {
+	if _, err := fmt.Fprintln(w, "scan\tepochs\thot_ns_per_record\tcold_ns_per_record\thot_over_cold"); err != nil {
 		return err
 	}
 	for _, row := range scanRows {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%.1f\t%.3f\n",
-			row.Tier, row.Epochs, row.NsPerRecord, row.MRecPerS); err != nil {
+		if _, err := fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.2f\n",
+			row.Shape, row.Epochs, row.HotNsPerRecord, row.ColdNsPerRecord, row.HotOverColdScanRatio); err != nil {
 			return err
 		}
 	}
+	if _, err := fmt.Fprintln(w, "point_read\tblock_epochs\tread_us\tns_per_record"); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1f\n",
+		pointRow.Shape, pointRow.BlockEpochs, pointRow.ReadUs, pointRow.NsPerRecord); err != nil {
+		return err
+	}
 
-	// (3) Compaction stall: fill a tiered store past its hot window and
+	// (4) Compaction stall: fill a tiered store past its hot window and
 	// compact, round after round; the stall is the hot-file rewrite's
 	// lock hold — the only compaction cost the write path can see.
 	rounds := 8
@@ -247,9 +221,9 @@ func runStoreBench(cfg config, w io.Writer) error {
 	stalls := make([]float64, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		for e := 0; e < perRound; e++ {
-			drift(records, e)
+			shapes[1].epoch(buf, records, e)
 			ts := time.Unix(int64((r*perRound+e))*60, 0)
-			if err := tiered.WriteEpoch(ts, records); err != nil {
+			if err := tiered.WriteEpoch(ts, buf); err != nil {
 				return err
 			}
 		}
@@ -278,8 +252,110 @@ func runStoreBench(cfg config, w io.Writer) error {
 		return writeBenchJSON("store", struct {
 			Compression []storeCompressionRow `json:"compression"`
 			Scan        []storeScanRow        `json:"scan"`
+			PointRead   storePointReadRow     `json:"point_read"`
 			Compaction  storeStallRow         `json:"compaction"`
-		}{compRows, scanRows, stall})
+		}{compRows, scanRows, pointRow, stall})
 	}
 	return nil
+}
+
+// writeStoreShape writes the shape's epochs to a hot FREC file and to a
+// cold segment.
+func writeStoreShape(sh storeShape, base, buf []flow.Record, epochs int, hotPath, segPath string) error {
+	hf, err := os.Create(hotPath)
+	if err != nil {
+		return err
+	}
+	defer hf.Close()
+	sf, err := os.Create(segPath)
+	if err != nil {
+		return err
+	}
+	defer sf.Close()
+	hw := recordstore.NewWriter(hf)
+	sw := recordstore.NewSegmentWriter(sf, recordstore.SegmentCold)
+	for e := 0; e < epochs; e++ {
+		sh.epoch(buf, base, e)
+		ts := time.Unix(int64(e)*60, 0)
+		if err := hw.WriteEpoch(ts, buf); err != nil {
+			return err
+		}
+		if err := sw.Add(recordstore.SegmentEpoch{Time: ts, Records: buf}); err != nil {
+			return err
+		}
+	}
+	if err := hw.Flush(); err != nil {
+		return err
+	}
+	if err := sw.Close(); err != nil {
+		return err
+	}
+	if err := hf.Close(); err != nil {
+		return err
+	}
+	return sf.Close()
+}
+
+// pointReadStoreShape times opening the shape's segment afresh and
+// decoding the last epoch of its first block (best of passes).
+func pointReadStoreShape(sh storeShape, passes int, segPath string, buf []flow.Record) (storePointReadRow, error) {
+	ns, err := bestNs(passes, func() error {
+		seg, err := recordstore.OpenSegment(segPath)
+		if err != nil {
+			return err
+		}
+		defer seg.Close()
+		_, err = seg.AppendEpochAt(recordstore.DefaultBlockEpochs-1, buf[:0])
+		return err
+	})
+	return storePointReadRow{
+		Shape:       sh.name,
+		BlockEpochs: recordstore.DefaultBlockEpochs,
+		ReadUs:      float64(ns) / 1e3,
+		NsPerRecord: float64(ns) / float64(sh.n),
+	}, err
+}
+
+// scanStoreShape times a full scan of the shape's hot file and of its cold
+// segment, each opened once and scanned passes times (best of).
+func scanStoreShape(sh storeShape, epochs, passes int, hotPath, segPath string) (storeScanRow, error) {
+	mapped, err := recordstore.OpenMapped(hotPath)
+	if err != nil {
+		return storeScanRow{}, err
+	}
+	defer mapped.Close()
+	seg, err := recordstore.OpenSegment(segPath)
+	if err != nil {
+		return storeScanRow{}, err
+	}
+	defer seg.Close()
+	var buf []flow.Record
+	scan := func(src recordstore.EpochSource) (float64, error) {
+		ns, err := bestNs(passes, func() error {
+			for i := 0; i < src.Epochs(); i++ {
+				ep, err := src.AppendEpochAt(i, buf[:0])
+				if err != nil {
+					return err
+				}
+				buf = ep.Records
+			}
+			return nil
+		})
+		return float64(ns) / float64(epochs*sh.n), err
+	}
+	hot, err := scan(mapped)
+	if err != nil {
+		return storeScanRow{}, err
+	}
+	cold, err := scan(seg)
+	if err != nil {
+		return storeScanRow{}, err
+	}
+	return storeScanRow{
+		Shape:                sh.name,
+		Epochs:               epochs,
+		HotNsPerRecord:       hot,
+		ColdNsPerRecord:      cold,
+		HotOverColdScanRatio: hot / cold,
+	}, nil
 }

@@ -109,3 +109,39 @@ func BenchmarkOpenMapped(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSegmentWindowScan is the cold /v1/flows shape: open a segment
+// afresh and scan one 16-epoch block of full-size epochs, 85% of whose
+// keys carry over, with a reused buffer.
+func BenchmarkSegmentWindowScan(b *testing.B) {
+	const epochs, recs = 16, 20000
+	data := carriedEpochs(rand.New(rand.NewPCG(9, 10)), epochs, recs, 0.85)
+	var img bytes.Buffer
+	sw := NewSegmentWriter(&img, SegmentCold)
+	for e, r := range data {
+		if err := sw.Add(SegmentEpoch{Time: time.Unix(int64(e), 0), Records: r}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var dst []flow.Record
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg, err := OpenSegmentBytes(img.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for e := 0; e < epochs; e++ {
+			ep, err := seg.AppendEpochAt(e, dst[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst = ep.Records
+		}
+		seg.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*epochs*recs), "ns/rec")
+}

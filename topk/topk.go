@@ -407,21 +407,60 @@ func (t *Tracker) Estimate(key flow.Key) (est, err uint32, ok bool) {
 }
 
 // AppendTopK appends the k largest tracked flows to dst (count descending,
-// key order breaking ties) and returns the extended slice. The snapshot is
-// taken under the tracker lock into tracker-owned scratch, so steady-state
-// calls with a reused dst are allocation-free.
+// key order breaking ties) and returns the extended slice. It runs under
+// the tracker lock, which ingest shares, so it selects rather than sorts:
+// the best k seen so far sit in dst's tail as a heap with the worst on
+// top, and each remaining entry costs one comparison unless it displaces
+// that one. Only the k survivors are sorted. Allocation-free with a reused
+// dst.
 func (t *Tracker) AppendTopK(dst []flow.Record, k int) []flow.Record {
 	if k <= 0 {
 		return dst
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.fillScratch()
-	slices.SortFunc(t.scratch, compareCountDesc)
-	if k > len(t.scratch) {
-		k = len(t.scratch)
+	if k > len(t.entries) {
+		k = len(t.entries)
 	}
-	return append(dst, t.scratch[:k]...)
+	base := len(dst)
+	dst = slices.Grow(dst, k)
+	for i := range t.entries[:k] {
+		dst = append(dst, flow.Record{Key: t.entries[i].key, Count: t.entries[i].count})
+	}
+	top := dst[base:]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWorstDown(top, i)
+	}
+	for i := range t.entries[k:] {
+		e := &t.entries[k+i]
+		if e.count < top[0].Count {
+			continue // nearly every entry: one integer comparison
+		}
+		if r := (flow.Record{Key: e.key, Count: e.count}); compareCountDesc(r, top[0]) < 0 {
+			top[0] = r
+			siftWorstDown(top, 0)
+		}
+	}
+	sortCountDesc(top)
+	return dst
+}
+
+// siftWorstDown restores, below index i, the heap order in which every
+// record ranks no better than its parent (so the worst sits at the root).
+func siftWorstDown(h []flow.Record, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if compareCountDesc(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // AppendSorted appends every tracked flow to dst in packed-key order — the

@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/flow"
@@ -383,5 +385,54 @@ func TestTrackerIndexChurn(t *testing.T) {
 		if _, _, ok := tk.Estimate(snap[0].Key); ok {
 			t.Fatalf("round %d: Reset left the index populated", round)
 		}
+	}
+}
+
+// TestAppendTopKMatchesFullSort: the bounded selection must return exactly
+// the prefix a full sort of every tracked entry would, count descending
+// with the packed key breaking ties, for any k, and leave dst's existing
+// contents alone. The CAIDA tail is full of equal counts, so ties at the
+// cut are exercised.
+func TestAppendTopKMatchesFullSort(t *testing.T) {
+	pkts, _ := genTrace(t, 5000, 3)
+	tk, err := NewTracker(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.UpdateBatch(pkts)
+	all := tk.AppendSorted(nil)
+	sortCountDesc(all)
+
+	rng := rand.New(rand.NewPCG(11, 13))
+	ks := []int{1, 2, 10, len(all) - 1, len(all), len(all) + 7}
+	for i := 0; i < 50; i++ {
+		ks = append(ks, 1+rng.IntN(len(all)))
+	}
+	prefix := []flow.Record{{Count: 42}}
+	for _, k := range ks {
+		got := tk.AppendTopK(slices.Clone(prefix), k)
+		if !slices.Equal(got[:1], prefix) {
+			t.Fatalf("k=%d: existing dst contents overwritten", k)
+		}
+		if want := all[:min(k, len(all))]; !slices.Equal(got[1:], want) {
+			t.Fatalf("k=%d: selection differs from the full sort's first %d", k, len(want))
+		}
+	}
+}
+
+// BenchmarkTrackerAppendTopK is the /v1/topk snapshot: k=10 out of a full
+// tracker, under the lock ingest shares.
+func BenchmarkTrackerAppendTopK(b *testing.B) {
+	pkts, _ := genTrace(b, 50000, 1)
+	tk, err := NewTracker(16384)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tk.UpdateBatch(pkts)
+	var buf []flow.Record
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = tk.AppendTopK(buf[:0], 10)
 	}
 }
