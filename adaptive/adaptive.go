@@ -7,6 +7,11 @@
 // epoch early when the structure approaches saturation, so record accuracy
 // is maintained across traffic swings without shrinking quiet-period
 // epochs.
+//
+// The Manager is double-buffered: rotation swaps the full recorder for a
+// reset standby and a background worker drains the completed epoch
+// (extract, flush callback, observers, reset), so the packet path only
+// pays for the swap.
 package adaptive
 
 import (
@@ -19,15 +24,6 @@ import (
 	"repro/telemetry"
 )
 
-// Sidecar is an auxiliary per-epoch structure that rotates with the
-// recorder — an online summary (topk.Set, topk.Tracker) the manager clears
-// at every epoch boundary. In double-buffered mode each recorder travels
-// with its own sidecar: the pair swaps at rotation and the drained
-// sidecar is reset by the flush worker, off the hot path.
-type Sidecar interface {
-	Reset()
-}
-
 // FlushFunc receives the records of a completed epoch. The recorder is
 // reset after the callback returns. The records slice is owned by the
 // manager and reused for the next epoch: callbacks must not retain it
@@ -36,9 +32,9 @@ type FlushFunc func(epoch int, records []flow.Record)
 
 // EpochObserver consumes each drained epoch's records after the flush
 // callback — the detection hook (detect.Detector implements it). It runs
-// where the flush callback runs: on the background drain worker in
-// double-buffered mode, inline in single-buffer mode. The records slice
-// is manager-owned and must not be retained, the FlushFunc contract.
+// where the flush callback runs: on the background drain worker, or on
+// the flushing goroutine after Close. The records slice is manager-owned
+// and must not be retained, the FlushFunc contract.
 type EpochObserver interface {
 	ObserveEpoch(epoch int, records []flow.Record)
 }
@@ -74,11 +70,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager wraps a recorder with adaptive epoch control. In double-buffered
-// mode (NewDoubleBuffered) epoch rotation swaps the full recorder for a
-// reset standby and hands extraction, the flush callback and the reset to a
-// background worker, so ingestion resumes immediately while the previous
-// epoch drains off the hot path.
+// Manager wraps a pair of recorders with adaptive epoch control. Epoch
+// rotation swaps the full recorder for a reset standby and hands
+// extraction, the flush callback and the reset to a background worker, so
+// ingestion resumes immediately while the previous epoch drains off the
+// hot path.
 type Manager struct {
 	rec    flowmon.Recorder
 	cfg    Config
@@ -88,13 +84,9 @@ type Manager struct {
 	checks uint64 // packets since the last watermark check
 	total  uint64
 
-	// Single-buffer mode reuses one export buffer across epochs.
+	// buf is the extraction buffer of rotations after Close, which drain
+	// on the flushing goroutine.
 	buf []flow.Record
-
-	// sc is the sidecar paired with the live recorder (nil when unset);
-	// live publishes it for queries from other goroutines.
-	sc   Sidecar
-	live atomic.Pointer[Sidecar]
 
 	// dets observe drained epochs, in attach order (empty when unset).
 	// drainErr records the first panic recovered on the drain path;
@@ -111,33 +103,35 @@ type Manager struct {
 	onDrainErr func(error)
 	spanHook   func(StageSpan)
 
-	// Double-buffered mode: the standby channel holds the reset recorder
-	// (with its sidecar) ready for the next swap, jobs carries full
-	// recorders to the flush worker (capacity 1: at most one epoch drains
-	// behind the live one).
-	standby chan buffer
+	// The standby channel holds the reset recorder ready for the next swap,
+	// jobs carries full recorders to the flush worker (capacity 1: at most
+	// one epoch drains behind the live one).
+	standby chan flowmon.Recorder
 	jobs    chan flushJob
 	done    chan struct{}
 	closed  bool
 }
 
-// buffer pairs a recorder with the sidecar that rotates alongside it.
-type buffer struct {
-	rec flowmon.Recorder
-	sc  Sidecar
-}
-
 // flushJob is one completed epoch travelling to the flush worker.
 type flushJob struct {
 	epoch int
-	buf   buffer
+	rec   flowmon.Recorder
 }
 
-// NewManager wraps rec. flush may be nil if the caller only needs the
-// epoch boundaries' side effect (reset).
-func NewManager(rec flowmon.Recorder, cfg Config, flush FlushFunc) (*Manager, error) {
+// NewDoubleBuffered wraps two interchangeable recorders — active fills the
+// current epoch while standby is the reset spare — and spawns the flush
+// worker that extracts, reports and resets completed epochs in the
+// background. The two recorders must be configured identically (same
+// algorithm, memory budget and seed family) or per-epoch accuracy will
+// differ between odd and even epochs. flush may be nil if the caller only
+// needs the epoch boundaries' side effects (observers, reset). Call Close
+// when done to stop the worker and drain the final epoch handoff.
+func NewDoubleBuffered(active, standby flowmon.Recorder, cfg Config, flush FlushFunc) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	if rec == nil {
+	if standby == nil {
+		return nil, fmt.Errorf("adaptive: nil standby recorder")
+	}
+	if active == nil {
 		return nil, fmt.Errorf("adaptive: nil recorder")
 	}
 	if cfg.Capacity <= 0 {
@@ -146,74 +140,24 @@ func NewManager(rec flowmon.Recorder, cfg Config, flush FlushFunc) (*Manager, er
 	if cfg.HighWatermark <= 0 || cfg.HighWatermark > 1 {
 		return nil, fmt.Errorf("adaptive: high watermark must be in (0,1], got %v", cfg.HighWatermark)
 	}
-	return &Manager{rec: rec, cfg: cfg, flush: flush}, nil
-}
-
-// NewDoubleBuffered wraps two interchangeable recorders — active fills the
-// current epoch while standby is the reset spare — and spawns the flush
-// worker that extracts, reports and resets completed epochs in the
-// background. The two recorders must be configured identically (same
-// algorithm, memory budget and seed family) or per-epoch accuracy will
-// differ between odd and even epochs. Call Close when done to stop the
-// worker and drain the final epoch handoff.
-func NewDoubleBuffered(active, standby flowmon.Recorder, cfg Config, flush FlushFunc) (*Manager, error) {
-	if standby == nil {
-		return nil, fmt.Errorf("adaptive: nil standby recorder")
+	m := &Manager{
+		rec:     active,
+		cfg:     cfg,
+		flush:   flush,
+		standby: make(chan flowmon.Recorder, 1),
+		jobs:    make(chan flushJob, 1),
+		done:    make(chan struct{}),
 	}
-	m, err := NewManager(active, cfg, flush)
-	if err != nil {
-		return nil, err
-	}
-	m.standby = make(chan buffer, 1)
-	m.standby <- buffer{rec: standby}
-	m.jobs = make(chan flushJob, 1)
-	m.done = make(chan struct{})
+	m.standby <- standby
 	go m.flushWorker()
 	return m, nil
 }
 
-// AttachSidecar pairs the live recorder with a sidecar reset at every
-// epoch boundary (single-buffer mode, or the live half before the first
-// rotation). For double-buffered managers use AttachSidecars so both
-// halves rotate. Call before ingestion begins.
-func (m *Manager) AttachSidecar(sc Sidecar) error {
-	if sc == nil {
-		return fmt.Errorf("adaptive: nil sidecar")
-	}
-	if m.jobs != nil {
-		return fmt.Errorf("adaptive: double-buffered manager needs AttachSidecars")
-	}
-	m.sc = sc
-	m.live.Store(&sc)
-	return nil
-}
-
-// AttachSidecars pairs each half of a double-buffered manager with a
-// sidecar: active rides the recorder currently filling, standby rides the
-// spare. At every rotation the pair swaps with its recorder and the
-// drained sidecar is reset by the flush worker after the epoch's records
-// are extracted. Call before ingestion begins (the standby half must
-// still be parked, i.e. no rotation may be in flight).
-func (m *Manager) AttachSidecars(active, standby Sidecar) error {
-	if active == nil || standby == nil {
-		return fmt.Errorf("adaptive: nil sidecar")
-	}
-	if m.jobs == nil {
-		return fmt.Errorf("adaptive: AttachSidecars needs a double-buffered manager")
-	}
-	b := <-m.standby
-	b.sc = standby
-	m.standby <- b
-	m.sc = active
-	m.live.Store(&active)
-	return nil
-}
-
 // AttachDetector registers an observer for every drained epoch,
-// evaluated after the flush callback — on the background worker in
-// double-buffered mode, so detection never touches the packet path.
-// Multiple observers may be attached (a detector plus a correlator
-// feeder, an exporter tap, ...); they run in attach order, each
+// evaluated after the flush callback — on the background worker, so
+// detection never touches the packet path. Multiple observers may be
+// attached (a detector plus a correlator feeder, an exporter tap, ...);
+// they run in attach order, each
 // panic-isolated, over the same drained buffer. Call before ingestion
 // begins (the registration is published to the worker by the first
 // rotation's channel send). A panicking or slow observer cannot deadlock
@@ -278,10 +222,10 @@ type StageSpan struct {
 	ResetNs   int64
 }
 
-// SetSpanHook installs a callback receiving a StageSpan for every epoch
-// processed by the double-buffered drain worker — the feed for epoch
-// timeline tracing (telemetry/events). The hook runs on the drain worker
-// after the epoch's reset, never on the packet path, and must not retain
+// SetSpanHook installs a callback receiving a StageSpan for every drained
+// epoch — the feed for epoch timeline tracing (telemetry/events). The hook
+// runs on the drain worker (on the flushing goroutine after Close) after
+// the epoch's reset, never on the packet path, and must not retain
 // references into the drained buffer (it receives only counts). Call
 // before ingestion begins; only the first hook wins, like
 // SetDrainErrorHook. Stage timing is enabled by either a hook or metrics,
@@ -292,36 +236,26 @@ func (m *Manager) SetSpanHook(fn func(StageSpan)) {
 	}
 }
 
-// Sidecar returns the sidecar paired with the recorder currently filling,
-// or nil if none is attached. Safe from any goroutine: the query daemon
-// reads the live summary through it while ingestion rotates underneath.
-func (m *Manager) Sidecar() Sidecar {
-	p := m.live.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
-
 // flushWorker drains completed epochs: extract into a reused buffer, run
-// the callback and the detector, reset the recorder (and its sidecar) and
-// return the pair as the next standby. Every stage is panic-isolated: a
-// faulty callback, detector or reset marks DrainErr but the buffer always
-// re-enters rotation, so one bad epoch can neither kill the worker (which
-// would wedge the next Flush forever) nor drop the epochs behind it.
+// the callback and the detector, reset the recorder and return it as the
+// next standby. Every stage is panic-isolated: a faulty callback, detector
+// or reset marks DrainErr but the recorder always re-enters rotation, so
+// one bad epoch can neither kill the worker (which would wedge the next
+// Flush forever) nor drop the epochs behind it.
 func (m *Manager) flushWorker() {
 	defer close(m.done)
 	var buf []flow.Record
 	for job := range m.jobs {
-		m.drain(job.epoch, job.buf, &buf)
-		m.standby <- job.buf
+		m.drain(job.epoch, job.rec, &buf)
+		m.standby <- job.rec
 	}
 }
 
-// drain processes one completed epoch on the worker. Stage timing runs
-// when either metrics or a span hook is attached — histograms are nil-safe,
-// so one clock pair per stage serves both consumers.
-func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
+// drain processes one completed epoch: on the worker, or on the flushing
+// goroutine after Close. Stage timing runs when either metrics or a span
+// hook is attached — histograms are nil-safe, so one clock pair per stage
+// serves both consumers.
+func (m *Manager) drain(epoch int, rec flowmon.Recorder, buf *[]flow.Record) {
 	mm := m.metrics
 	timing := mm != nil || m.spanHook != nil
 	sp := StageSpan{Epoch: epoch}
@@ -342,7 +276,7 @@ func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
 	}
 	if m.flush != nil || len(m.dets) > 0 {
 		extracted := stage(extractNs, &sp.ExtractNs, "extraction", func() {
-			*buf = b.rec.AppendRecords((*buf)[:0])
+			*buf = rec.AppendRecords((*buf)[:0])
 		})
 		if extracted {
 			sp.Records = len(*buf)
@@ -358,21 +292,7 @@ func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
 			}
 		}
 	}
-	// Recorder and sidecar reset share one timing window so the ResetNs
-	// histogram keeps its one-observation-per-epoch shape.
-	var resetStart time.Time
-	if timing {
-		resetStart = time.Now()
-	}
-	m.safely("recorder reset", b.rec.Reset)
-	if b.sc != nil {
-		m.safely("sidecar reset", b.sc.Reset)
-	}
-	if timing {
-		d := time.Since(resetStart)
-		resetNs.ObserveDuration(d)
-		sp.ResetNs = d.Nanoseconds()
-	}
+	stage(resetNs, &sp.ResetNs, "recorder reset", rec.Reset)
 	if mm != nil {
 		mm.Epochs.Inc()
 	}
@@ -409,47 +329,24 @@ func (m *Manager) UpdateBatch(pkts []flow.Packet) {
 	flowmon.UpdateAll(m, pkts)
 }
 
-// Flush ends the current epoch and starts the next one. In single-buffer
-// mode the records are extracted into a reused buffer, handed to the flush
-// callback, and the recorder is reset inline. In double-buffered mode the
-// full recorder is swapped for the reset standby and queued to the flush
-// worker; Flush only blocks if the worker is still draining the previous
-// epoch (rotation outpacing extraction).
+// Flush ends the current epoch and starts the next one: the full recorder
+// is swapped for the reset standby and queued to the flush worker. Flush
+// only blocks if the worker is still draining the previous epoch (rotation
+// outpacing extraction). After Close there is no worker, and Flush drains
+// the epoch itself through the same panic-isolated stages.
 func (m *Manager) Flush() {
-	if m.jobs != nil && !m.closed {
+	if m.closed {
+		m.drain(m.epoch, m.rec, &m.buf)
+	} else {
 		var stallStart time.Time
 		if m.metrics != nil {
 			stallStart = time.Now()
 		}
-		full := buffer{rec: m.rec, sc: m.sc}
-		next := <-m.standby
-		m.rec, m.sc = next.rec, next.sc
-		if m.sc != nil {
-			sc := m.sc
-			m.live.Store(&sc)
-		}
-		m.jobs <- flushJob{epoch: m.epoch, buf: full}
+		full := m.rec
+		m.rec = <-m.standby
+		m.jobs <- flushJob{epoch: m.epoch, rec: full}
 		if mm := m.metrics; mm != nil {
 			mm.RotationStallNs.ObserveDuration(time.Since(stallStart))
-		}
-	} else {
-		if m.flush != nil || len(m.dets) > 0 {
-			m.buf = m.rec.AppendRecords(m.buf[:0])
-			if m.flush != nil {
-				m.flush(m.epoch, m.buf)
-			}
-			for _, det := range m.dets {
-				// Observers are auxiliary even inline: a panic must not
-				// take down the caller's ingest loop.
-				m.safely("detector", func() { det.ObserveEpoch(m.epoch, m.buf) })
-			}
-		}
-		m.rec.Reset()
-		if m.sc != nil {
-			m.sc.Reset()
-		}
-		if mm := m.metrics; mm != nil {
-			mm.Epochs.Inc()
 		}
 	}
 	m.epoch++
@@ -457,13 +354,12 @@ func (m *Manager) Flush() {
 	m.checks = 0
 }
 
-// Close stops the double-buffered flush worker after it has drained any
-// queued epoch. It does not flush the live epoch — call Flush first if the
-// partial epoch must be reported. The manager remains usable afterwards:
-// further rotations flush inline, single-buffer style. Close is idempotent
-// and a no-op in single-buffer mode.
+// Close stops the flush worker after it has drained any queued epoch. It
+// does not flush the live epoch — call Flush first if the partial epoch
+// must be reported. The manager remains usable afterwards: further
+// rotations drain on the flushing goroutine. Close is idempotent.
 func (m *Manager) Close() {
-	if m.jobs == nil || m.closed {
+	if m.closed {
 		return
 	}
 	m.closed = true
@@ -481,6 +377,6 @@ func (m *Manager) EpochPackets() uint64 { return m.inEp }
 func (m *Manager) TotalPackets() uint64 { return m.total }
 
 // Recorder exposes the recorder filling the current epoch for queries
-// between flushes. In double-buffered mode the returned value changes at
-// every rotation; call it from the ingesting goroutine only.
+// between flushes. The returned value changes at every rotation; call it
+// from the ingesting goroutine only.
 func (m *Manager) Recorder() flowmon.Recorder { return m.rec }

@@ -17,15 +17,30 @@ func newRecorder(t *testing.T, mem int) flowmon.Recorder {
 	return rec
 }
 
+// hashFlowPair builds the two identically configured halves of a manager
+// and reports their main-table capacity.
+func hashFlowPair(t *testing.T, cfg flowmon.Config) (active, standby flowmon.Recorder, cells int) {
+	t.Helper()
+	a, err := flowmon.NewHashFlow(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := flowmon.NewHashFlow(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b, a.MainCells()
+}
+
 func TestValidation(t *testing.T) {
-	rec := newRecorder(t, 1<<14)
-	if _, err := NewManager(nil, Config{Capacity: 10}, nil); err == nil {
+	rec, standby := newRecorder(t, 1<<14), newRecorder(t, 1<<14)
+	if _, err := NewDoubleBuffered(nil, standby, Config{Capacity: 10}, nil); err == nil {
 		t.Error("accepted nil recorder")
 	}
-	if _, err := NewManager(rec, Config{}, nil); err == nil {
+	if _, err := NewDoubleBuffered(rec, standby, Config{}, nil); err == nil {
 		t.Error("accepted zero capacity")
 	}
-	if _, err := NewManager(rec, Config{Capacity: 10, HighWatermark: 1.5}, nil); err == nil {
+	if _, err := NewDoubleBuffered(rec, standby, Config{Capacity: 10, HighWatermark: 1.5}, nil); err == nil {
 		t.Error("accepted watermark > 1")
 	}
 }
@@ -33,13 +48,10 @@ func TestValidation(t *testing.T) {
 func TestFlushesOnSaturation(t *testing.T) {
 	// 19*512 bytes → 512 main cells; offer far more flows than capacity so
 	// the watermark must trip and create multiple epochs.
-	h, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: 19 * 512, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	active, standby, cells := hashFlowPair(t, flowmon.Config{MemoryBytes: 19 * 512, Seed: 2})
 	var flushes []int
-	m, err := NewManager(h, Config{
-		Capacity:   h.MainCells(),
+	m, err := NewDoubleBuffered(active, standby, Config{
+		Capacity:   cells,
 		CheckEvery: 64,
 	}, func(epoch int, records []flow.Record) {
 		flushes = append(flushes, len(records))
@@ -55,17 +67,18 @@ func TestFlushesOnSaturation(t *testing.T) {
 	for _, p := range tr.Packets(3) {
 		m.Update(p)
 	}
+	m.Close() // waits for the worker, so flushes is complete
 	if len(flushes) < 2 {
 		t.Fatalf("expected multiple saturation flushes, got %d", len(flushes))
 	}
 	for i, n := range flushes {
 		// Each flushed epoch should have filled a large fraction of the
 		// table but never exceed its capacity.
-		if n > h.MainCells() {
-			t.Errorf("epoch %d flushed %d records, above capacity %d", i, n, h.MainCells())
+		if n > cells {
+			t.Errorf("epoch %d flushed %d records, above capacity %d", i, n, cells)
 		}
-		if n < h.MainCells()/2 {
-			t.Errorf("epoch %d flushed only %d records for capacity %d", i, n, h.MainCells())
+		if n < cells/2 {
+			t.Errorf("epoch %d flushed only %d records for capacity %d", i, n, cells)
 		}
 	}
 	if m.TotalPackets() != tr.PacketCount() {
@@ -74,9 +87,9 @@ func TestFlushesOnSaturation(t *testing.T) {
 }
 
 func TestFlushesOnPacketBudget(t *testing.T) {
-	rec := newRecorder(t, 1<<20) // huge: watermark never trips
+	// Huge recorders: the watermark never trips.
 	epochs := 0
-	m, err := NewManager(rec, Config{
+	m, err := NewDoubleBuffered(newRecorder(t, 1<<20), newRecorder(t, 1<<20), Config{
 		Capacity:        1 << 20,
 		MaxEpochPackets: 1000,
 	}, func(int, []flow.Record) { epochs++ })
@@ -87,6 +100,7 @@ func TestFlushesOnPacketBudget(t *testing.T) {
 	for i := 0; i < 3500; i++ {
 		m.Update(flow.Packet{Key: k})
 	}
+	m.Close()
 	if epochs != 3 {
 		t.Errorf("epochs = %d, want 3 (3500 packets / 1000 budget)", epochs)
 	}
@@ -96,34 +110,40 @@ func TestFlushesOnPacketBudget(t *testing.T) {
 }
 
 func TestManualFlush(t *testing.T) {
-	rec := newRecorder(t, 1<<14)
 	var got []flow.Record
-	m, err := NewManager(rec, Config{Capacity: 1000}, func(_ int, records []flow.Record) {
-		got = records
-	})
+	m, err := NewDoubleBuffered(newRecorder(t, 1<<14), newRecorder(t, 1<<14), Config{Capacity: 1000},
+		func(epoch int, records []flow.Record) {
+			if epoch == 0 {
+				got = append([]flow.Record(nil), records...)
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Update(flow.Packet{Key: flow.Key{SrcIP: 7}})
 	m.Update(flow.Packet{Key: flow.Key{SrcIP: 7}})
 	m.Flush()
-	if len(got) != 1 || got[0].Count != 2 {
-		t.Errorf("flushed records = %v", got)
-	}
 	if m.Epoch() != 1 {
 		t.Errorf("Epoch = %d, want 1", m.Epoch())
 	}
+	// The second rotation hands epoch 0's recorder back as the live one,
+	// which the worker must have reset.
+	m.Flush()
 	if len(m.Recorder().Records()) != 0 {
 		t.Error("recorder not reset after flush")
+	}
+	m.Close()
+	if len(got) != 1 || got[0].Count != 2 {
+		t.Errorf("flushed records = %v", got)
 	}
 }
 
 func TestNilFlushFunc(t *testing.T) {
-	rec := newRecorder(t, 1<<14)
-	m, err := NewManager(rec, Config{Capacity: 100}, nil)
+	m, err := NewDoubleBuffered(newRecorder(t, 1<<14), newRecorder(t, 1<<14), Config{Capacity: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	m.Update(flow.Packet{Key: flow.Key{SrcIP: 1}})
 	m.Flush() // must not panic
 	if m.Epoch() != 1 {
@@ -137,10 +157,7 @@ func TestAccuracyPreservedAcrossEpochs(t *testing.T) {
 	// and verify every reported count is exact (HashFlow main-table
 	// records are exact under DisablePromotion-free operation when no
 	// digest collision promotes a wrong count; tolerate a tiny fraction).
-	h, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: 19 * 1024, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	active, standby, cells := hashFlowPair(t, flowmon.Config{MemoryBytes: 19 * 1024, Seed: 5})
 	tr, err := trace.Generate(trace.Campus, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +165,7 @@ func TestAccuracyPreservedAcrossEpochs(t *testing.T) {
 	truth := tr.Truth()
 
 	exact, total := 0, 0
-	m, err := NewManager(h, Config{Capacity: h.MainCells(), CheckEvery: 128},
+	m, err := NewDoubleBuffered(active, standby, Config{Capacity: cells, CheckEvery: 128},
 		func(_ int, records []flow.Record) {
 			for _, r := range records {
 				total++
@@ -164,6 +181,7 @@ func TestAccuracyPreservedAcrossEpochs(t *testing.T) {
 		m.Update(p)
 	}
 	m.Flush()
+	m.Close()
 	if total == 0 {
 		t.Fatal("no records flushed")
 	}

@@ -207,21 +207,19 @@ func TestDetectorPanicDoesNotDeadlockRotation(t *testing.T) {
 	}
 }
 
-// TestSidecarPanicDoesNotDeadlockRotation: a sidecar whose Reset panics
-// must not kill the worker either — the buffer still returns to standby.
-func TestSidecarPanicDoesNotDeadlockRotation(t *testing.T) {
-	m, err := NewDoubleBuffered(detRecorder(t), detRecorder(t), Config{Capacity: 1 << 20},
-		func(int, []flow.Record) {})
+// TestResetPanicDoesNotDeadlockRotation: a recorder whose Reset panics
+// must not kill the worker either — the recorder still returns to standby.
+func TestResetPanicDoesNotDeadlockRotation(t *testing.T) {
+	m, err := NewDoubleBuffered(panicReset{detRecorder(t)}, panicReset{detRecorder(t)},
+		Config{Capacity: 1 << 20}, func(int, []flow.Record) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AttachSidecars(panicSidecar{}, panicSidecar{}); err != nil {
-		t.Fatal(err)
-	}
+	const epochs = 10
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for e := 0; e < 10; e++ {
+		for e := 0; e < epochs; e++ {
 			m.Update(flow.Packet{Key: flow.Key{SrcIP: 1}})
 			m.Flush()
 		}
@@ -230,16 +228,20 @@ func TestSidecarPanicDoesNotDeadlockRotation(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("rotation deadlocked behind a panicking sidecar")
+		t.Fatal("rotation deadlocked behind a panicking reset")
 	}
-	if m.DrainPanics() == 0 {
-		t.Error("sidecar panics were not recorded")
+	if got := m.DrainPanics(); got != epochs {
+		t.Errorf("DrainPanics = %d, want %d", got, epochs)
+	}
+	if err := m.DrainErr(); err == nil || !strings.Contains(err.Error(), "recorder reset panicked") {
+		t.Errorf("DrainErr = %v", err)
 	}
 }
 
-type panicSidecar struct{}
+// panicReset is a recorder whose Reset always panics.
+type panicReset struct{ flowmon.Recorder }
 
-func (panicSidecar) Reset() { panic("sidecar exploded") }
+func (panicReset) Reset() { panic("reset exploded") }
 
 // TestSlowDetectorDoesNotDropEpochs: a detector slower than the epoch
 // cadence backpressures rotation (the standby handoff) but every epoch
@@ -282,10 +284,6 @@ func TestDetectorStressWithQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, sb := &testSidecar{name: "a"}, &testSidecar{name: "b"}
-	if err := m.AttachSidecars(sa, sb); err != nil {
-		t.Fatal(err)
-	}
 	det := &recordingDetector{panicAt: func(e int) bool { return e%3 == 0 }}
 	if err := m.AttachDetector(det); err != nil {
 		t.Fatal(err)
@@ -303,7 +301,6 @@ func TestDetectorStressWithQueries(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = m.Sidecar()
 					_ = m.DrainErr()
 					_ = m.DrainPanics()
 				}
@@ -328,10 +325,11 @@ func TestDetectorStressWithQueries(t *testing.T) {
 	}
 }
 
-// TestSingleBufferDetector: inline mode evaluates the detector on the
-// flushing goroutine and recovers its panics there too.
-func TestSingleBufferDetector(t *testing.T) {
-	m, err := NewManager(detRecorder(t), Config{Capacity: 1 << 20}, nil)
+// TestDetectorAfterClose: once Close has stopped the worker, Flush
+// evaluates the detector on the flushing goroutine and recovers its
+// panics there too.
+func TestDetectorAfterClose(t *testing.T) {
+	m, err := NewDoubleBuffered(detRecorder(t), detRecorder(t), Config{Capacity: 1 << 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +337,45 @@ func TestSingleBufferDetector(t *testing.T) {
 	if err := m.AttachDetector(det); err != nil {
 		t.Fatal(err)
 	}
+	m.Close()
 	for e := 0; e < 3; e++ {
 		m.Update(flow.Packet{Key: flow.Key{SrcIP: 9}})
 		m.Flush() // epoch 1's panic must not escape to this caller
 	}
 	if eps, _ := det.snapshot(); len(eps) != 3 {
-		t.Fatalf("inline detector saw %v", eps)
+		t.Fatalf("detector saw %v", eps)
 	}
 	if m.DrainPanics() != 1 {
 		t.Errorf("DrainPanics = %d, want 1", m.DrainPanics())
+	}
+}
+
+// TestFlushAfterClosePanicsRecovered: after Close, a panicking flush
+// callback and a panicking recorder Reset are recovered like on the
+// worker — Flush returns normally and both land in DrainErr/DrainPanics.
+func TestFlushAfterClosePanicsRecovered(t *testing.T) {
+	m, err := NewDoubleBuffered(panicReset{detRecorder(t)}, panicReset{detRecorder(t)},
+		Config{Capacity: 1 << 20}, func(int, []flow.Record) { panic("flush exploded") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	m.Update(flow.Packet{Key: flow.Key{SrcIP: 3}})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Flush after Close panicked: %v", r)
+			}
+		}()
+		m.Flush()
+	}()
+	if err := m.DrainErr(); err == nil || !strings.Contains(err.Error(), "flush callback panicked") {
+		t.Errorf("DrainErr = %v", err)
+	}
+	if got := m.DrainPanics(); got != 2 {
+		t.Errorf("DrainPanics = %d, want 2 (flush callback and reset)", got)
+	}
+	if m.Epoch() != 1 {
+		t.Errorf("Epoch = %d, want 1", m.Epoch())
 	}
 }

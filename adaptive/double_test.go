@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,9 +11,10 @@ import (
 	"repro/trace"
 )
 
-// TestDoubleBufferedEquivalence verifies the double-buffered manager
-// reports exactly the epochs the single-buffer manager reports on the same
-// packet stream: same boundaries, same record sets.
+// TestDoubleBufferedEquivalence verifies the manager reports exactly the
+// epochs a one-recorder oracle reports on the same packet stream: same
+// boundaries, same record sets, under both the watermark and the packet
+// budget rule.
 func TestDoubleBufferedEquivalence(t *testing.T) {
 	cfg := flowmon.Config{MemoryBytes: 19 * 1024, Seed: 5}
 	tr, err := trace.Generate(trace.Campus, 15000, 9)
@@ -21,62 +23,83 @@ func TestDoubleBufferedEquivalence(t *testing.T) {
 	}
 	pkts := tr.Packets(9)
 
-	type epochSummary struct {
-		n     int
-		total uint64
-	}
-	run := func(t *testing.T, double bool) []epochSummary {
-		t.Helper()
-		var out []epochSummary
-		flushFn := func(epoch int, records []flow.Record) {
-			var total uint64
-			for _, r := range records {
-				total += uint64(r.Count)
-			}
-			out = append(out, epochSummary{n: len(records), total: total})
-		}
-		active, err := flowmon.NewHashFlow(cfg)
+	for _, tc := range []struct {
+		name string
+		acfg func(cells int) Config
+	}{
+		{"watermark", func(cells int) Config { return Config{Capacity: cells, CheckEvery: 128} }},
+		{"budget", func(cells int) Config { return Config{Capacity: 1 << 20, MaxEpochPackets: 20000} }},
+	} {
+		active, standby, cells := hashFlowPair(t, cfg)
+		acfg := tc.acfg(cells)
+		var got [][]flow.Record
+		m, err := NewDoubleBuffered(active, standby, acfg, func(epoch int, records []flow.Record) {
+			got = append(got, sortedCopy(records))
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		acfg := Config{Capacity: active.MainCells(), CheckEvery: 128}
-		var m *Manager
-		if double {
-			standby, err := flowmon.NewHashFlow(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err = NewDoubleBuffered(active, standby, acfg, flushFn)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			m, err = NewManager(active, acfg, flushFn)
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 		for _, p := range pkts {
 			m.Update(p)
 		}
 		m.Flush()
-		m.Close() // waits for the worker, so out is complete and safe to read
-		return out
-	}
+		m.Close() // waits for the worker, so got is complete and safe to read
 
-	single := run(t, false)
-	double := run(t, true)
-	if len(single) < 2 {
-		t.Fatalf("expected multiple epochs, got %d", len(single))
-	}
-	if len(double) != len(single) {
-		t.Fatalf("double-buffered produced %d epochs, single %d", len(double), len(single))
-	}
-	for i := range single {
-		if single[i] != double[i] {
-			t.Errorf("epoch %d diverges: single %+v, double %+v", i, single[i], double[i])
+		oracle, _, _ := hashFlowPair(t, cfg)
+		want := oracleEpochs(oracle, acfg, pkts)
+		if len(want) < 2 {
+			t.Fatalf("%s: expected multiple epochs, got %d", tc.name, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: manager produced %d epochs, oracle %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%s: epoch %d diverges: %d records vs oracle %d", tc.name, i, len(got[i]), len(want[i]))
+			}
 		}
 	}
+}
+
+// oracleEpochs replays pkts through one recorder with the manager's epoch
+// boundary rule written out: an epoch ends when its packet budget is spent
+// or, every CheckEvery packets, when the cardinality estimate reaches the
+// watermark. Each epoch is read with Records and then Reset; the trailing
+// partial epoch is reported too, like a final Flush.
+func oracleEpochs(rec flowmon.Recorder, cfg Config, pkts []flow.Packet) [][]flow.Record {
+	cfg = cfg.withDefaults()
+	var out [][]flow.Record
+	var inEp, checks uint64
+	end := func() {
+		out = append(out, sortedCopy(rec.Records()))
+		rec.Reset()
+		inEp, checks = 0, 0
+	}
+	for _, p := range pkts {
+		rec.Update(p)
+		inEp++
+		checks++
+		if inEp >= cfg.MaxEpochPackets {
+			end()
+			continue
+		}
+		if checks >= cfg.CheckEvery {
+			checks = 0
+			if rec.EstimateCardinality() >= cfg.HighWatermark*float64(cfg.Capacity) {
+				end()
+			}
+		}
+	}
+	end()
+	return out
+}
+
+// sortedCopy returns records copied out of a manager-owned buffer, in
+// packed-key order.
+func sortedCopy(records []flow.Record) []flow.Record {
+	out := slices.Clone(records)
+	slices.SortFunc(out, func(a, b flow.Record) int { return flow.CompareKeys(a.Key, b.Key) })
+	return out
 }
 
 // TestDoubleBufferedFlushOffHotPath verifies rotation hands the full
@@ -171,7 +194,7 @@ func TestDoubleBufferedValidation(t *testing.T) {
 	if m.Epoch() != 1 {
 		t.Errorf("Epoch = %d, want 1", m.Epoch())
 	}
-	// After Close the manager keeps working with inline flushes.
+	// After Close the manager keeps working, draining on this goroutine.
 	m.Update(flow.Packet{Key: flow.Key{SrcIP: 2}})
 	m.Flush()
 	if m.Epoch() != 2 {

@@ -13,15 +13,15 @@ import (
 // have been swallowed. All observations happen at epoch granularity —
 // the per-packet path is untouched.
 type Metrics struct {
-	// RotationStallNs is the ingest-visible cost of one Flush in
-	// double-buffered mode: waiting for the standby recorder plus
-	// handing the full one to the drain worker. If the drain worker
+	// RotationStallNs is the ingest-visible cost of one rotation:
+	// waiting for the standby recorder plus handing the full one to the
+	// drain worker. If the drain worker
 	// keeps up this is nanoseconds; sustained growth means rotation is
 	// outpacing extraction.
 	RotationStallNs *telemetry.Histogram
 	// ExtractNs, FlushCbNs, ResetNs time the drain stages: record
 	// extraction, the flush callback (store write, NetFlow export),
-	// and the recorder+sidecar reset.
+	// and the recorder reset.
 	ExtractNs *telemetry.Histogram
 	FlushCbNs *telemetry.Histogram
 	ResetNs   *telemetry.Histogram

@@ -78,10 +78,15 @@ func TestSpanHookFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(rec, Config{Capacity: rec.MainCells()}, nil)
+	standby, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: 19 * 512, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := NewDoubleBuffered(rec, standby, Config{Capacity: rec.MainCells()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
 	first := func(StageSpan) {}
 	m.SetSpanHook(first)
 	m.SetSpanHook(func(StageSpan) { t.Fatal("second hook installed") })

@@ -243,9 +243,8 @@ func TestReadEpochAppendAllocFree(t *testing.T) {
 }
 
 // TestAppendTopKAllocFree pins the zero-allocation contract of the live
-// query snapshots: AppendTopK and AppendSorted on both a single tracker
-// and a per-shard set, with reused destination buffers. The /topk request
-// path sits directly on these.
+// query snapshots: AppendTopK and AppendSorted on a tracker, with reused
+// destination buffers. The /topk request path sits directly on these.
 func TestAppendTopKAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -261,7 +260,9 @@ func TestAppendTopKAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk.UpdateBatch(pkts)
+		for _, p := range pkts {
+			tk.Add(p.Key, 1)
+		}
 		var buf []flow.Record
 		buf = tk.AppendTopK(buf[:0], 10)
 		if len(buf) != 10 {
@@ -279,25 +280,6 @@ func TestAppendTopKAllocFree(t *testing.T) {
 		}
 	})
 
-	t.Run("Set", func(t *testing.T) {
-		set, err := topk.NewSet(4, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range pkts {
-			set.Trackers()[i%4].Update(p)
-		}
-		var buf []flow.Record
-		buf = set.AppendTopK(buf[:0], 10)
-		if len(buf) != 10 {
-			t.Fatalf("warm top-k returned %d records", len(buf))
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			buf = set.AppendTopK(buf[:0], 10)
-		}); allocs != 0 {
-			t.Errorf("Set.AppendTopK allocates %.0f times per query, want 0", allocs)
-		}
-	})
 }
 
 // TestMappedEpochAllocFree pins allocation-free historical reads: random

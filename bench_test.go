@@ -120,38 +120,6 @@ func BenchmarkShardedBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedAsync measures the asynchronous pipeline: the feeder only
-// routes and enqueues; per-shard workers record in parallel. Flush closes
-// the timing window so queued work is charged to the benchmark.
-func BenchmarkShardedAsync(b *testing.B) {
-	pkts, _ := benchTrace(b, trace.CAIDA, benchFlows)
-	for _, n := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			s, err := shard.NewUniformAsync(n, 0, flowmon.AlgorithmHashFlow,
-				flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(s.Close)
-			b.ReportAllocs()
-			b.ResetTimer()
-			off := 0
-			for i := 0; i < b.N; i += shardBatchSize {
-				m := shardBatchSize
-				if b.N-i < m {
-					m = b.N - i
-				}
-				if off+m > len(pkts) {
-					off = 0
-				}
-				s.UpdateBatch(pkts[off : off+m])
-				off += m
-			}
-			s.Flush()
-		})
-	}
-}
-
 // BenchmarkIngestPipeline measures the full end-to-end path the collector
 // exposes: Ingestor batching feeding a sharded recorder.
 func BenchmarkIngestPipeline(b *testing.B) {
@@ -220,50 +188,41 @@ func BenchmarkAppendRecords(b *testing.B) {
 }
 
 // BenchmarkEpochRotation measures continuous ingestion under adaptive
-// epoch control with the flush path (extract + recordstore encode) either
-// inline on the hot path (single) or on the double-buffered background
-// worker (double). The metric is per-packet cost including rotations.
+// epoch control, the flush path (extract + recordstore encode) running on
+// the double-buffered background worker. The metric is per-packet cost
+// including rotations.
 func BenchmarkEpochRotation(b *testing.B) {
 	pkts, _ := benchTrace(b, trace.CAIDA, benchFlows)
-	for _, mode := range []string{"single", "double"} {
-		b.Run(mode, func(b *testing.B) {
-			store := recordstore.NewWriter(io.Discard)
-			var werr error
-			flushFn := func(_ int, recs []flow.Record) {
-				if err := store.WriteEpoch(time.Unix(0, 0), recs); err != nil {
-					werr = err
-				}
-			}
-			active, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			acfg := adaptive.Config{Capacity: active.MainCells(), MaxEpochPackets: 8192}
-			var m *adaptive.Manager
-			if mode == "single" {
-				m, err = adaptive.NewManager(active, acfg, flushFn)
-			} else {
-				standby, err2 := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
-				if err2 != nil {
-					b.Fatal(err2)
-				}
-				m, err = adaptive.NewDoubleBuffered(active, standby, acfg, flushFn)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Update(pkts[i%len(pkts)])
-			}
-			b.StopTimer()
-			m.Flush()
-			m.Close()
-			if werr != nil {
-				b.Fatal(werr)
-			}
-		})
+	store := recordstore.NewWriter(io.Discard)
+	var werr error
+	flushFn := func(_ int, recs []flow.Record) {
+		if err := store.WriteEpoch(time.Unix(0, 0), recs); err != nil {
+			werr = err
+		}
+	}
+	active, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	standby, err := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acfg := adaptive.Config{Capacity: active.MainCells(), MaxEpochPackets: 8192}
+	m, err := adaptive.NewDoubleBuffered(active, standby, acfg, flushFn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Update(pkts[i%len(pkts)])
+	}
+	b.StopTimer()
+	m.Flush()
+	m.Close()
+	if werr != nil {
+		b.Fatal(werr)
 	}
 }
 

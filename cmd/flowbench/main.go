@@ -9,13 +9,12 @@
 // fig10, fig11, all — plus extras, which compares the beyond-paper
 // recorders (sampled NetFlow, cuckoo, Space-Saving) against HashFlow;
 // pipeline, which measures end-to-end ingestion throughput of the sharded
-// recorder (per-packet vs batched vs async across shard counts); export,
-// which measures the collection side — epoch record extraction and
-// recordstore encoding across shard counts, plus single- vs
-// double-buffered epoch rotation under continuous ingestion; query,
-// which measures the read path — ingest cost of the online top-k sidecar,
-// mmap vs streamed epoch scans over a multi-epoch store, and live /topk
-// request latency; detect, which measures the detection subsystem —
+// recorder (per-packet vs batched across shard counts); export, which
+// measures the collection side — epoch record extraction and recordstore
+// encoding across shard counts, plus double-buffered epoch rotation under
+// continuous ingestion; query, which measures the read path — mmap vs
+// streamed epoch scans over a multi-epoch store, and live /topk request
+// latency; detect, which measures the detection subsystem —
 // per-epoch detector cost, the drain-stall impact of attaching it to the
 // double-buffered rotation, and precision/recall against synthetic
 // injected heavy changes and superspreaders; and frontend, which
@@ -297,9 +296,9 @@ type pipelineRow struct {
 }
 
 // runPipeline measures wall-clock ingestion throughput of the sharded
-// recorder end to end: the per-packet sequential path, the staged batch
-// path (one lock per shard per batch, via the collector ingestor), and the
-// asynchronous path (per-shard workers), across shard counts.
+// recorder end to end: the per-packet sequential path and the staged batch
+// path (one lock per shard per batch, via the collector ingestor), across
+// shard counts.
 func runPipeline(cfg config, w io.Writer) error {
 	tr, err := trace.Generate(trace.CAIDA, cfg.flows(100000), cfg.seed)
 	if err != nil {
@@ -312,13 +311,8 @@ func runPipeline(cfg config, w io.Writer) error {
 	mcfg := flowmon.Config{MemoryBytes: cfg.mem, Seed: cfg.seed}
 	var rows []pipelineRow
 	for _, shards := range []int{1, 4, 8} {
-		for _, mode := range []string{"sequential", "batched", "async"} {
-			var s *shard.Sharded
-			if mode == "async" {
-				s, err = shard.NewUniformAsync(shards, 0, flowmon.AlgorithmHashFlow, mcfg)
-			} else {
-				s, err = shard.NewUniform(shards, flowmon.AlgorithmHashFlow, mcfg)
-			}
+		for _, mode := range []string{"sequential", "batched"} {
+			s, err := shard.NewUniform(shards, flowmon.AlgorithmHashFlow, mcfg)
 			if err != nil {
 				return err
 			}
@@ -334,7 +328,6 @@ func runPipeline(cfg config, w io.Writer) error {
 				if err := collector.Replay(s, pkts, batch); err != nil {
 					return err
 				}
-				s.Flush()
 			}
 			elapsed := time.Since(start)
 			s.Close()
@@ -376,8 +369,8 @@ type exportRow struct {
 }
 
 // rotationRow is one continuous-rotation measurement: ingest the trace
-// under adaptive epoch control with the flush path either inline (single)
-// or on the double-buffered background worker.
+// under adaptive epoch control with the flush path on the double-buffered
+// background worker.
 type rotationRow struct {
 	Mode       string  `json:"mode"`
 	Packets    int     `json:"packets"`
@@ -401,7 +394,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // steady-state epoch export path — AppendRecords into a reused buffer,
 // then recordstore.WriteEpoch (radix sort + delta encode) — for the plain
 // HashFlow recorder and the sharded recorder across shard counts. Then
-// continuous epoch rotation under ingestion, single- vs double-buffered.
+// continuous double-buffered epoch rotation under ingestion.
 func runExportBench(cfg config, w io.Writer) error {
 	tr, err := trace.Generate(trace.CAIDA, cfg.flows(100000), cfg.seed)
 	if err != nil {
@@ -481,107 +474,84 @@ func runExportBench(cfg config, w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "\nrotation\tpackets\tepochs\tns_per_pkt\tMpps\tmed_stall_us\tmax_stall_us"); err != nil {
 		return err
 	}
-	var rotationRows []rotationRow
-	for _, mode := range []string{"single", "double"} {
-		store := recordstore.NewWriter(&countWriter{})
-		flushFn := func(epoch int, recs []flow.Record) {
-			if err := store.WriteEpoch(time.Unix(0, 0), recs); err != nil {
-				panic(err) // countWriter cannot fail
-			}
+	store := recordstore.NewWriter(&countWriter{})
+	active, err := flowmon.NewHashFlow(mcfg)
+	if err != nil {
+		return err
+	}
+	standby, err := flowmon.NewHashFlow(mcfg)
+	if err != nil {
+		return err
+	}
+	// Epoch boundaries are packet-budget driven; push the watermark check
+	// out of the way (its full-table cardinality scan is its own hot-path
+	// stall, not the one under measurement here).
+	acfg := adaptive.Config{
+		Capacity:        active.MainCells(),
+		MaxEpochPackets: uint64(len(pkts) / 4),
+		CheckEvery:      1 << 62,
+	}
+	m, err := adaptive.NewDoubleBuffered(active, standby, acfg, func(epoch int, recs []flow.Record) {
+		if err := store.WriteEpoch(time.Unix(0, 0), recs); err != nil {
+			panic(err) // countWriter cannot fail
 		}
-		active, err := flowmon.NewHashFlow(mcfg)
-		if err != nil {
-			return err
-		}
-		// Epoch boundaries are packet-budget driven; push the watermark
-		// check out of the way (its full-table cardinality scan is its own
-		// hot-path stall, not the one under measurement here).
-		acfg := adaptive.Config{
-			Capacity:        active.MainCells(),
-			MaxEpochPackets: uint64(len(pkts) / 4),
-			CheckEvery:      1 << 62,
-		}
-		var m *adaptive.Manager
-		if mode == "single" {
-			m, err = adaptive.NewManager(active, acfg, flushFn)
-		} else {
-			sb, err2 := flowmon.NewHashFlow(mcfg)
-			if err2 != nil {
-				return err2
-			}
-			m, err = adaptive.NewDoubleBuffered(active, sb, acfg, flushFn)
-		}
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
+	}
 
-		// Rotation stalls are the packet-path cost of an epoch boundary:
-		// in single-buffer mode the rotating Update extracts, sorts and
-		// encodes the whole epoch inline, while double-buffering reduces
-		// the stall to a recorder swap (plus backpressure if the drain
-		// worker is still busy). Rotations fire exactly when the epoch's
-		// packet budget fills, so only those updates are timed and the
-		// throughput loop stays clean; several passes give enough
-		// rotations for a stable median.
-		var stalls []time.Duration
-		passes := 4
-		start := time.Now()
-		for pass := 0; pass < passes; pass++ {
-			for _, p := range pkts {
-				if m.EpochPackets() == acfg.MaxEpochPackets-1 {
-					t0 := time.Now()
-					m.Update(p)
-					stalls = append(stalls, time.Since(t0))
-					continue
-				}
+	// Rotation stalls are the packet-path cost of an epoch boundary: a
+	// recorder swap, plus backpressure if the drain worker is still busy
+	// with the previous epoch. Rotations fire exactly when the epoch's
+	// packet budget fills, so only those updates are timed and the
+	// throughput loop stays clean; several passes give enough rotations
+	// for a stable median.
+	var stalls []time.Duration
+	passes := 4
+	start := time.Now()
+	for pass := 0; pass < passes; pass++ {
+		for _, p := range pkts {
+			if m.EpochPackets() == acfg.MaxEpochPackets-1 {
+				t0 := time.Now()
 				m.Update(p)
+				stalls = append(stalls, time.Since(t0))
+				continue
 			}
+			m.Update(p)
 		}
-		m.Flush()
-		m.Close()
-		elapsed := time.Since(start)
-		slices.Sort(stalls)
-		var medStall, maxStall time.Duration
-		if len(stalls) > 0 {
-			medStall = stalls[len(stalls)/2]
-			maxStall = stalls[len(stalls)-1]
-		}
+	}
+	m.Flush()
+	m.Close()
+	elapsed := time.Since(start)
+	slices.Sort(stalls)
+	var medStall, maxStall time.Duration
+	if len(stalls) > 0 {
+		medStall = stalls[len(stalls)/2]
+		maxStall = stalls[len(stalls)-1]
+	}
 
-		totalPkts := passes * len(pkts)
-		row := rotationRow{
-			Mode:       mode,
-			Packets:    totalPkts,
-			Epochs:     m.Epoch(),
-			NsPerPkt:   float64(elapsed.Nanoseconds()) / float64(totalPkts),
-			Mpps:       float64(totalPkts) / elapsed.Seconds() / 1e6,
-			MedStallUs: float64(medStall.Nanoseconds()) / 1e3,
-			MaxStallUs: float64(maxStall.Nanoseconds()) / 1e3,
-		}
-		rotationRows = append(rotationRows, row)
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.3f\t%.1f\t%.1f\n",
-			row.Mode, row.Packets, row.Epochs, row.NsPerPkt, row.Mpps, row.MedStallUs, row.MaxStallUs); err != nil {
-			return err
-		}
+	totalPkts := passes * len(pkts)
+	rot := rotationRow{
+		Mode:       "double",
+		Packets:    totalPkts,
+		Epochs:     m.Epoch(),
+		NsPerPkt:   float64(elapsed.Nanoseconds()) / float64(totalPkts),
+		Mpps:       float64(totalPkts) / elapsed.Seconds() / 1e6,
+		MedStallUs: float64(medStall.Nanoseconds()) / 1e3,
+		MaxStallUs: float64(maxStall.Nanoseconds()) / 1e3,
+	}
+	if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.3f\t%.1f\t%.1f\n",
+		rot.Mode, rot.Packets, rot.Epochs, rot.NsPerPkt, rot.Mpps, rot.MedStallUs, rot.MaxStallUs); err != nil {
+		return err
 	}
 
 	if cfg.json {
 		return writeBenchJSON("export", struct {
 			Export   []exportRow   `json:"export"`
 			Rotation []rotationRow `json:"rotation"`
-		}{exportRows, rotationRows})
+		}{exportRows, []rotationRow{rot}})
 	}
 	return nil
-}
-
-// sidecarRow is one ingest measurement with the top-k sidecar on or off.
-type sidecarRow struct {
-	Shards   int     `json:"shards"`
-	Sidecar  bool    `json:"sidecar"`
-	Flows    int     `json:"flows"`
-	TrackCap int     `json:"tracker_capacity"`
-	Packets  int     `json:"packets"`
-	NsPerPkt float64 `json:"ns_per_pkt"`
-	Mpps     float64 `json:"mpps"`
 }
 
 // scanRow is one historical-read measurement over the multi-epoch store.
@@ -609,10 +579,9 @@ type latencyRow struct {
 	MaxUs    float64 `json:"max_us"`
 }
 
-// runQueryBench measures the query subsystem: (1) what the online top-k
-// sidecar costs the ingest path, (2) mmap vs streamed full scans and
-// random epoch access over a multi-epoch store, (3) end-to-end /topk
-// latency against a live tracker over HTTP.
+// runQueryBench measures the query subsystem: (1) mmap vs streamed full
+// scans and random epoch access over a multi-epoch store, (2) end-to-end
+// /topk latency against a live tracker over HTTP.
 func runQueryBench(cfg config, w io.Writer) error {
 	tr, err := trace.Generate(trace.CAIDA, cfg.flows(100000), cfg.seed)
 	if err != nil {
@@ -620,75 +589,6 @@ func runQueryBench(cfg config, w io.Writer) error {
 	}
 	pkts := tr.Packets(cfg.seed)
 	mcfg := flowmon.Config{MemoryBytes: cfg.mem, Seed: cfg.seed}
-
-	// (1) Sidecar cost: batched ingest into a sharded recorder, with and
-	// without per-shard trackers attached. Two (flows, capacity) shapes
-	// probe the two Space-Saving regimes: 1024 entries over 100k flows is
-	// eviction-saturated (about half the packets replace the tracked
-	// minimum — work no index layout can remove), while a tracker sized
-	// for its traffic (8192 over 20k flows) runs hit-heavy, where the
-	// per-batch pre-aggregation and the open-addressing index pay off.
-	// Best-of-passes, like the scan rows below — single-shot ingest runs
-	// swing with scheduler noise on small machines and the sidecar delta
-	// is the quantity of interest.
-	if _, err := fmt.Fprintln(w, "shards\tsidecar\tflows\ttracker_cap\tpackets\tns_per_pkt\tMpps"); err != nil {
-		return err
-	}
-	ingestPasses := 5
-	if cfg.quick {
-		ingestPasses = 3
-	}
-	var sidecarRows []sidecarRow
-	for _, shape := range []struct{ flows, trackCap int }{
-		{cfg.flows(100000), 1024},
-		{cfg.flows(20000), 8192},
-	} {
-		str, err := trace.Generate(trace.CAIDA, shape.flows, cfg.seed)
-		if err != nil {
-			return err
-		}
-		spkts := str.Packets(cfg.seed)
-		for _, shards := range []int{1, 4} {
-			for _, withSidecar := range []bool{false, true} {
-				var best int64
-				for pass := 0; pass < ingestPasses; pass++ {
-					s, err := shard.NewUniform(shards, flowmon.AlgorithmHashFlow, mcfg)
-					if err != nil {
-						return err
-					}
-					if withSidecar {
-						if _, err := topk.AttachSet(s, shape.trackCap); err != nil {
-							return err
-						}
-					}
-					start := time.Now()
-					if err := collector.Replay(s, spkts, collector.DefaultBatchSize); err != nil {
-						return err
-					}
-					s.Flush()
-					ns := time.Since(start).Nanoseconds()
-					s.Close()
-					if best == 0 || ns < best {
-						best = ns
-					}
-				}
-				row := sidecarRow{
-					Shards:   shards,
-					Sidecar:  withSidecar,
-					Flows:    shape.flows,
-					TrackCap: shape.trackCap,
-					Packets:  len(spkts),
-					NsPerPkt: float64(best) / float64(len(spkts)),
-					Mpps:     float64(len(spkts)) / (float64(best) / 1e9) / 1e6,
-				}
-				sidecarRows = append(sidecarRows, row)
-				if _, err := fmt.Fprintf(w, "%d\t%v\t%d\t%d\t%d\t%.1f\t%.3f\n",
-					row.Shards, row.Sidecar, row.Flows, row.TrackCap, row.Packets, row.NsPerPkt, row.Mpps); err != nil {
-					return err
-				}
-			}
-		}
-	}
 
 	// Build the multi-epoch store the read measurements scan.
 	rec, err := flowmon.New(flowmon.AlgorithmHashFlow, mcfg)
@@ -726,7 +626,7 @@ func runQueryBench(cfg config, w io.Writer) error {
 		return err
 	}
 
-	// (2a) Full scans: the streamed reader re-opens and streams the file
+	// (1a) Full scans: the streamed reader re-opens and streams the file
 	// each pass; the mapped store amortizes one mapping across passes (the
 	// flowqueryd serving mode). Best-of-passes damps scheduler noise.
 	passes := 6
@@ -793,7 +693,7 @@ func runQueryBench(cfg config, w io.Writer) error {
 		}
 	}
 
-	// (2b) Random epoch access: reaching epoch i through the stream means
+	// (1b) Random epoch access: reaching epoch i through the stream means
 	// decoding everything before it; the mapped index goes straight there.
 	accesses := 32
 	if cfg.quick {
@@ -860,20 +760,19 @@ func runQueryBench(cfg config, w io.Writer) error {
 		}
 	}
 
-	// (3) Live /topk latency over HTTP against a filled tracker.
-	set, err := topk.NewSet(4, 1024)
+	// (2) Live /topk latency over HTTP against a tracker filled the way
+	// the collector fills it: one epoch's records at a time.
+	tracker, err := topk.NewTracker(4096)
 	if err != nil {
 		return err
 	}
-	for i, p := range pkts {
-		set.Trackers()[i%4].Update(p)
-	}
+	tracker.AddRecords(records)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{
-		Handler:           query.NewHandler(query.Config{TopK: set}),
+		Handler:           query.NewHandler(query.Config{TopK: tracker}),
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       60 * time.Second,
@@ -925,11 +824,10 @@ func runQueryBench(cfg config, w io.Writer) error {
 
 	if cfg.json {
 		return writeBenchJSON("query", struct {
-			Sidecar      []sidecarRow `json:"sidecar"`
-			Scan         []scanRow    `json:"scan"`
-			RandomAccess []randomRow  `json:"random_access"`
-			TopKLatency  latencyRow   `json:"topk_latency"`
-		}{sidecarRows, scanRows, randomRows, latRow})
+			Scan         []scanRow   `json:"scan"`
+			RandomAccess []randomRow `json:"random_access"`
+			TopKLatency  latencyRow  `json:"topk_latency"`
+		}{scanRows, randomRows, latRow})
 	}
 	return nil
 }
@@ -1547,7 +1445,6 @@ func runTelemetryBench(cfg config, w io.Writer) error {
 		if err := collector.Replay(s, pkts, collector.DefaultBatchSize); err != nil {
 			return 0, err
 		}
-		s.Flush()
 		ns := time.Since(t0).Nanoseconds()
 		if got := s.OpStats().Packets; got != uint64(len(pkts)) {
 			return 0, fmt.Errorf("telemetry ingest: recorded %d packets, want %d", got, len(pkts))

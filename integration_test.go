@@ -213,16 +213,22 @@ func TestNetworkWideFlowRadarDecode(t *testing.T) {
 }
 
 // TestPipelineShardedAdaptiveNetwide composes the extension layers: a
-// sharded HashFlow under an adaptive epoch manager, with epochs merged into
-// a network-wide view.
+// sharded HashFlow pair under the double-buffered adaptive epoch manager,
+// with the watermark driving rotation end to end and the epochs merged
+// into a network-wide view.
 func TestPipelineShardedAdaptiveNetwide(t *testing.T) {
-	sharded, err := shard.NewUniform(4, flowmon.AlgorithmHashFlow,
-		flowmon.Config{MemoryBytes: 19 * 2048, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
+	var halves [2]*shard.Sharded
+	for i := range halves {
+		sh, err := shard.NewUniform(4, flowmon.AlgorithmHashFlow,
+			flowmon.Config{MemoryBytes: 19 * 2048, Seed: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		halves[i] = sh
 	}
 	var views []netwide.View
-	mgr, err := adaptive.NewManager(sharded, adaptive.Config{
+	mgr, err := adaptive.NewDoubleBuffered(halves[0], halves[1], adaptive.Config{
 		Capacity:   2048,
 		CheckEvery: 256,
 	}, func(epoch int, records []flow.Record) {
@@ -244,6 +250,7 @@ func TestPipelineShardedAdaptiveNetwide(t *testing.T) {
 		mgr.Update(p)
 	}
 	mgr.Flush()
+	mgr.Close() // waits for the drain worker, so views is complete
 
 	if len(views) < 2 {
 		t.Fatalf("expected multiple adaptive epochs, got %d", len(views))

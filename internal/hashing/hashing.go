@@ -1,14 +1,8 @@
 // Package hashing provides the family of independent hash functions that
 // every sketch in this repository builds on.
 //
-// Two implementations are provided:
-//
-//   - KeyHash / Family: an allocation-free, xxhash-style mixer specialized
-//     for the two-word packing of a 104-bit flow key. This is what the data
-//     path uses.
-//   - Murmur3: a faithful MurmurHash3 x86 32-bit implementation over
-//     arbitrary byte strings, used where a general-purpose hash is needed
-//     and as an independent cross-check in tests.
+// KeyHash / Family is an allocation-free, xxhash-style mixer specialized
+// for the two-word packing of a 104-bit flow key.
 //
 // Seeds for the family members are derived from a base seed with SplitMix64,
 // which guarantees distinct, well-mixed per-function seeds.

@@ -23,8 +23,8 @@
 //	GET /trace/epochs?limit=        the last K epoch timelines with
 //	                                per-stage drain durations
 //
-// The live side reads an online summary (topk.Tracker / topk.Set via the
-// TopKSource surface) that ingest maintains incrementally; the historical
+// The live side reads an online summary (a topk.Tracker via the TopKSource
+// surface) that the epoch publisher maintains incrementally; the historical
 // side random-accesses a recordstore.EpochSource — a flat mmap store or a
 // tiered directory with compressed cold segments, transparently. Both are
 // query-time-only costs: ingestion never blocks on a query.
@@ -52,15 +52,14 @@ import (
 	"repro/telemetry/events"
 )
 
-// TopKSource serves live top-k snapshots; topk.Tracker and topk.Set
-// implement it, and adaptive.Manager sidecars resolve to one.
+// TopKSource serves live top-k snapshots; topk.Tracker implements it.
 type TopKSource interface {
 	AppendTopK(dst []flow.Record, k int) []flow.Record
 }
 
 // SortedSource yields a key-sorted snapshot of a vantage point's current
-// flows — the netwide.View order MergeSumInto consumes. topk.Tracker and
-// topk.Set implement it.
+// flows — the netwide.View order MergeSumInto consumes. topk.Tracker
+// implements it.
 type SortedSource interface {
 	AppendSorted(dst []flow.Record) []flow.Record
 }

@@ -65,54 +65,10 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSync: with a single feeder each shard queue receives its
-// sub-batches in feed order, so after the Flush barrier the async pipeline
-// is byte-identical to the synchronous one.
-func TestAsyncMatchesSync(t *testing.T) {
-	pkts := batchTrace(t, 5000, 23)
-	cfg := flowmon.Config{MemoryBytes: 256 << 10, Seed: 1}
-
-	sync1, err := NewUniform(4, flowmon.AlgorithmHashFlow, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async1, err := NewUniformAsync(4, 8, flowmon.AlgorithmHashFlow, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer async1.Close()
-	if !async1.Async() || sync1.Async() {
-		t.Fatal("Async() flags wrong")
-	}
-
-	for i := 0; i < len(pkts); i += 500 {
-		end := i + 500
-		if end > len(pkts) {
-			end = len(pkts)
-		}
-		sync1.UpdateBatch(pkts[i:end])
-		async1.UpdateBatch(pkts[i:end])
-	}
-	async1.Flush()
-
-	if s, a := sync1.OpStats(), async1.OpStats(); s != a {
-		t.Errorf("OpStats diverge: sync %+v, async %+v", s, a)
-	}
-	sr, ar := sortedRecords(sync1.Records()), sortedRecords(async1.Records())
-	if len(sr) != len(ar) {
-		t.Fatalf("record counts diverge: sync %d, async %d", len(sr), len(ar))
-	}
-	for i := range sr {
-		if sr[i] != ar[i] {
-			t.Fatalf("record %d diverges: sync %+v, async %+v", i, sr[i], ar[i])
-		}
-	}
-}
-
 // TestAsyncCloseSemantics: Close is idempotent, and a closed recorder
-// remains usable through the synchronous fallback path.
+// keeps ingesting on the synchronous path.
 func TestAsyncCloseSemantics(t *testing.T) {
-	s, err := NewUniformAsync(4, 0, flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 128 << 10, Seed: 3})
+	s, err := NewUniform(4, flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 128 << 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +77,8 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	s.UpdateBatch(pkts[:500])
 	s.Close()
 	s.Close() // idempotent
-	s.Flush() // no-op after Close
 
-	s.UpdateBatch(pkts[500:]) // falls back to the synchronous path
+	s.UpdateBatch(pkts[500:])
 	s.Update(pkts[0])
 
 	if got, want := s.OpStats().Packets, uint64(len(pkts)+1); got != want {
@@ -135,73 +90,48 @@ func TestAsyncCloseSemantics(t *testing.T) {
 }
 
 // TestConcurrentBatchRace is the race-detector stress test: concurrent
-// batched writers against concurrent readers, in both modes. Run with
-// -race in CI.
+// batched writers against concurrent readers. Run with -race in CI.
 func TestConcurrentBatchRace(t *testing.T) {
 	pkts := batchTrace(t, 4000, 31)
-	for _, mode := range []string{"sync", "async"} {
-		t.Run(mode, func(t *testing.T) {
-			var s *Sharded
-			var err error
-			cfg := flowmon.Config{MemoryBytes: 256 << 10, Seed: 5}
-			if mode == "async" {
-				s, err = NewUniformAsync(4, 4, flowmon.AlgorithmHashFlow, cfg)
-			} else {
-				s, err = NewUniform(4, flowmon.AlgorithmHashFlow, cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("sync", func(t *testing.T) {
+		s, err := NewUniform(4, flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 256 << 10, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-			const writers = 4
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					part := pkts[w*len(pkts)/writers : (w+1)*len(pkts)/writers]
-					for i := 0; i < len(part); i += 64 {
-						end := i + 64
-						if end > len(part) {
-							end = len(part)
-						}
-						s.UpdateBatch(part[i:end])
-					}
-				}(w)
-			}
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 25; i++ {
-						_ = s.Records()
-						_ = s.EstimateSize(pkts[i].Key)
-						_ = s.EstimateCardinality()
-						_ = s.OpStats()
-					}
-				}()
-			}
-			wg.Wait()
-			s.Close()
+		var wg sync.WaitGroup
+		feedParallel(s, pkts, 4, 64, &wg)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 25; i++ {
+					_ = s.Records()
+					_ = s.EstimateSize(pkts[i].Key)
+					_ = s.EstimateCardinality()
+					_ = s.OpStats()
+				}
+			}()
+		}
+		wg.Wait()
 
-			if got := s.OpStats().Packets; got != uint64(len(pkts)) {
-				t.Errorf("processed %d packets, want %d", got, len(pkts))
-			}
-		})
-	}
+		if got := s.OpStats().Packets; got != uint64(len(pkts)) {
+			t.Errorf("processed %d packets, want %d", got, len(pkts))
+		}
+	})
 }
 
-// TestFeedParallelBatchedPath: FeedParallel now rides the batched pipeline
-// and must still deliver every packet exactly once.
-func TestFeedParallelBatchedPath(t *testing.T) {
-	pkts := batchTrace(t, 3000, 37)
-	s, err := NewUniformAsync(4, 8, flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 256 << 10, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.FeedParallel(pkts, 4)
-	if got := s.OpStats().Packets; got != uint64(len(pkts)) {
-		t.Errorf("processed %d packets, want %d", got, len(pkts))
+// feedParallel starts one goroutine per writer, each feeding its share of
+// pkts through the staged path in batches of the given size; wg tracks them.
+func feedParallel(s *Sharded, pkts []flow.Packet, writers, batch int, wg *sync.WaitGroup) {
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(part []flow.Packet) {
+			defer wg.Done()
+			for i := 0; i < len(part); i += batch {
+				s.UpdateBatch(part[i:min(i+batch, len(part))])
+			}
+		}(pkts[w*len(pkts)/writers : (w+1)*len(pkts)/writers])
 	}
 }

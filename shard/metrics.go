@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"strconv"
-
-	"repro/telemetry"
-)
+import "repro/telemetry"
 
 // Metrics carries the ingestion-path instruments of a Sharded
 // recorder. The hot-path cost is two atomic adds per UpdateBatch call
@@ -16,10 +12,6 @@ type Metrics struct {
 	// BatchPackets is the packet count per UpdateBatch call — the
 	// realized ingest batch size.
 	BatchPackets *telemetry.Histogram
-	// EnqueueStalls counts asynchronous sub-batch enqueues that found
-	// the shard queue full and had to block: sustained growth means
-	// the workers cannot keep up with the feeders.
-	EnqueueStalls *telemetry.Counter
 }
 
 // NewMetrics registers the shard instruments under the given label
@@ -32,43 +24,17 @@ func NewMetrics(reg *telemetry.Registry, labelPairs ...string) *Metrics {
 		BatchPackets: reg.Histogram(
 			telemetry.Name("shard_batch_packets", labelPairs...),
 			"packets per UpdateBatch call"),
-		EnqueueStalls: reg.Counter(
-			telemetry.Name("shard_enqueue_stalls_total", labelPairs...),
-			"async sub-batch enqueues that blocked on a full shard queue"),
 	}
 }
 
-// SetMetrics attaches instruments to the ingestion path. Call before
-// ingestion begins, like SetSidecars: the fields are read without
+// SetMetrics attaches instruments to the ingestion path, or detaches them
+// when m is nil. Call before ingestion begins: the fields are read without
 // synchronization by concurrent feeders.
 func (s *Sharded) SetMetrics(m *Metrics) {
 	if m == nil {
-		s.mBatches, s.mBatchPackets, s.mEnqueueStalls = nil, nil, nil
+		s.mBatches, s.mBatchPackets = nil, nil
 		return
 	}
 	s.mBatches = m.Batches
 	s.mBatchPackets = m.BatchPackets
-	s.mEnqueueStalls = m.EnqueueStalls
-}
-
-// RegisterMetrics exposes the asynchronous queue depths as scrape-time
-// gauges (shard_queue_len per shard plus the shared capacity). No-op
-// for synchronous recorders, which have no queues.
-func (s *Sharded) RegisterMetrics(reg *telemetry.Registry, labelPairs ...string) {
-	if !s.async {
-		return
-	}
-	reg.RegisterSampler(func(e *telemetry.Expo) {
-		name := func(base string, extra ...string) string {
-			return telemetry.Name(base, append(append([]string{}, labelPairs...), extra...)...)
-		}
-		if len(s.queues) > 0 {
-			e.Gauge(name("shard_queue_cap"), "per-shard queue capacity (sub-batches)",
-				float64(cap(s.queues[0])))
-		}
-		for i, q := range s.queues {
-			e.Gauge(name("shard_queue_len", "shard", strconv.Itoa(i)),
-				"sub-batches waiting on one shard queue", float64(len(q)))
-		}
-	})
 }

@@ -82,7 +82,9 @@ func TestParallelFeedMatchesSerial(t *testing.T) {
 		serial.Update(p)
 	}
 	parallel := newSharded(t, 8)
-	parallel.FeedParallel(pkts, 8)
+	var wg sync.WaitGroup
+	feedParallel(parallel, pkts, 8, 1024, &wg)
+	wg.Wait()
 
 	// Within one shard, updates commute only for per-flow state when no
 	// cross-flow eviction interleaves; with HashFlow the record set can

@@ -1,19 +1,20 @@
-// Package topk maintains the heavy hitters of a packet stream online, as a
-// sidecar next to the measurement recorder, so "who are the biggest flows
-// right now?" is answered from a small always-current summary instead of
-// dumping and filtering a full epoch per query.
+// Package topk maintains the heavy hitters of a flow-record stream online,
+// so "who are the biggest flows right now?" is answered from a small
+// always-current summary instead of dumping and filtering a full epoch per
+// query.
 //
 // Tracker is a Space-Saving summary (Metwally et al., ICDT 2005) laid out
-// for the ingest hot path: entries live in one flat array indexed by a
-// key map, the minimum is tracked by an intrusive binary min-heap of slot
+// for the publish hot path: entries live in one flat array indexed by a
+// key map, the minimum is tracked by an intrusive 4-ary min-heap of slot
 // indices, and updates are O(log capacity) with no per-update allocation.
 // Unlike the paper-faithful heap-of-pointers baseline in
-// internal/spacesaving, Tracker supports weighted increments (Add), so the
-// collector side can feed it decoded flow records, and exposes
-// zero-allocation snapshots (AppendTopK, AppendSorted) for the query path.
+// internal/spacesaving, Tracker takes weighted increments (Add,
+// AddRecords), so the collector feeds it each drained epoch's decoded
+// flow records, and it exposes zero-allocation snapshots (AppendTopK,
+// AppendSorted) for the query path.
 //
-// Tracker is internally synchronized: ingest workers update it under their
-// own cadence while query handlers snapshot it concurrently.
+// Tracker is internally synchronized: the epoch publisher updates it while
+// query handlers snapshot it concurrently.
 package topk
 
 import (
@@ -60,10 +61,9 @@ type Tracker struct {
 	packets  uint64
 
 	// idx is the digest-indexed key index: an open-addressing table
-	// (linear probing, backward-shift deletion, <=50% load) replacing
-	// the seed's Go map — the per-packet lookup is one cheap KeyHash
-	// plus a compact probe chain instead of the runtime map machinery,
-	// which was most of the sidecar's ~100ns/pkt cost. Each slot packs
+	// (linear probing, backward-shift deletion, <=50% load) instead of a
+	// Go map — each lookup is one cheap KeyHash plus a compact probe
+	// chain instead of the runtime map machinery. Each slot packs
 	// the key's 32-bit hash fingerprint (high word) with slot+1 (low
 	// word, 0 = empty), so probe mismatches and the eviction-time
 	// backward shift resolve inside this one array without loading
@@ -73,29 +73,10 @@ type Tracker struct {
 	// scratch backs the zero-allocation snapshots; it is reused across
 	// AppendTopK/AppendSorted calls under mu.
 	scratch []flow.Record
-
-	// agg is the per-batch pre-aggregation table: a small open-addressing
-	// map (same digest as idx, so each packet is hashed exactly once)
-	// that folds a batch down to one weighted count per distinct key
-	// before the Space-Saving update, so the summary pays one index
-	// lookup and heap fix per distinct key per batch instead of per
-	// packet. slots lists the occupied positions for O(distinct)
-	// clearing. Both are reused across batches under mu.
-	agg   []aggEntry
-	slots []int32
-}
-
-// aggEntry is one pre-aggregated (key, weight) of the batch in flight,
-// carrying the key's digest so the Space-Saving update reuses it.
-type aggEntry struct {
-	key   flow.Key
-	count uint32
-	hash  uint64
 }
 
 // tableSeed salts the tracker's digest independently of the shard router
-// and the recorder hash families. The index and the pre-aggregation
-// table deliberately share it: one KeyHash per packet serves both.
+// and the recorder hash families.
 const tableSeed = 0x70b1
 
 // NewTracker builds a tracker holding at most capacity flows.
@@ -128,67 +109,7 @@ func (t *Tracker) Packets() uint64 {
 	return t.packets
 }
 
-// Update processes one packet.
-func (t *Tracker) Update(p flow.Packet) {
-	t.Add(p.Key, 1)
-}
-
-// UpdateBatch processes a batch of packets under one lock acquisition,
-// the form the shard batch workers feed. The batch is pre-aggregated by
-// key first, so the Space-Saving structure sees one weighted add per
-// distinct key — on heavy-tailed traffic most of a batch collapses into
-// a few counters and the per-packet map-lookup + heap-fix cost drops
-// with it. The tracked summary is equivalent to per-packet updates up to
-// arrival order within the batch (the usual Space-Saving order
-// sensitivity); totals and error bounds are identical.
-func (t *Tracker) UpdateBatch(pkts []flow.Packet) {
-	if len(pkts) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.sizeAgg(len(pkts))
-	mask := uint64(len(t.agg) - 1)
-	for _, p := range pkts {
-		w1, w2 := p.Key.Words()
-		h := hashing.KeyHash(tableSeed, w1, w2)
-		i := h & mask
-		for {
-			e := &t.agg[i]
-			if e.count == 0 {
-				*e = aggEntry{key: p.Key, count: 1, hash: h}
-				t.slots = append(t.slots, int32(i))
-				break
-			}
-			if e.key == p.Key {
-				e.count++
-				break
-			}
-			i = (i + 1) & mask
-		}
-	}
-	for _, s := range t.slots {
-		e := t.agg[s]
-		t.agg[s] = aggEntry{}
-		t.addHashed(e.key, e.count, e.hash)
-	}
-	t.slots = t.slots[:0]
-	t.mu.Unlock()
-}
-
-// sizeAgg ensures the pre-aggregation table holds n keys at <= 50% load.
-// The table only grows (batch sizes are stable in practice) and grown
-// storage is reused, so steady-state batches do not allocate. Callers
-// hold mu and must leave the table cleared.
-func (t *Tracker) sizeAgg(n int) {
-	want := 1 << bits.Len(uint(2*n-1))
-	if want > len(t.agg) {
-		t.agg = make([]aggEntry, want)
-		t.slots = slices.Grow(t.slots[:0], want/2)
-	}
-}
-
-// Add credits w packets to key. This is the weighted form the collector
-// side uses to feed decoded flow records (one Add per record).
+// Add credits w packets to key.
 func (t *Tracker) Add(key flow.Key, w uint32) {
 	t.mu.Lock()
 	t.add(key, w)
@@ -204,24 +125,15 @@ func (t *Tracker) AddRecords(recs []flow.Record) {
 	t.mu.Unlock()
 }
 
-func (t *Tracker) add(key flow.Key, w uint32) {
-	// The hash is written out rather than shared through digest(): the
-	// wrapped form exceeds the inlining budget and the call shows up at
-	// per-packet rates.
-	w1, w2 := key.Words()
-	t.addHashed(key, w, hashing.KeyHash(tableSeed, w1, w2))
-}
-
-// digest is the tracker's canonical key hash, shared by the index and
-// the pre-aggregation table (cold paths; hot paths inline it).
+// digest is the tracker's canonical key hash.
 func digest(key flow.Key) uint64 {
 	w1, w2 := key.Words()
 	return hashing.KeyHash(tableSeed, w1, w2)
 }
 
-// addHashed is add with the key's digest already computed (the batched
-// path hashes each packet once and reuses it here).
-func (t *Tracker) addHashed(key flow.Key, w uint32, h uint64) {
+// add credits w packets to key. Callers hold mu.
+func (t *Tracker) add(key flow.Key, w uint32) {
+	h := digest(key)
 	t.packets += uint64(w)
 	if slot, ok := t.lookup(key, h); ok {
 		e := &t.entries[slot]
@@ -345,7 +257,7 @@ func satAdd(a, b uint32) uint32 {
 // The heap is 4-ary: half the depth of a binary heap, and one node's
 // children share a cache line of the compact node array, so the
 // per-update sift touches fewer lines — the heap fix is the other half
-// of the sidecar's per-packet cost next to the key lookup.
+// of an update's cost next to the key lookup.
 const heapArity = 4
 
 // siftDown restores the heap below position i after a count increase.

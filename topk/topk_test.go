@@ -3,11 +3,10 @@ package topk
 import (
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/flow"
-	"repro/flowmon"
-	"repro/shard"
 	"repro/trace"
 )
 
@@ -24,6 +23,13 @@ func genTrace(t testing.TB, flows int, seed uint64) ([]flow.Packet, *flow.Truth)
 	return pkts, truth
 }
 
+// addPackets credits every packet to tk, one unit each.
+func addPackets(tk *Tracker, pkts []flow.Packet) {
+	for _, p := range pkts {
+		tk.Add(p.Key, 1)
+	}
+}
+
 // TestTrackerExactWhenUncontended: with capacity above the distinct flow
 // count Space-Saving degenerates to exact counting, so the top-k must
 // equal the sort-based ground truth exactly.
@@ -33,7 +39,7 @@ func TestTrackerExactWhenUncontended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk.UpdateBatch(pkts)
+	addPackets(tk, pkts)
 
 	if got, want := tk.Len(), truth.Flows(); got != want {
 		t.Fatalf("tracked %d flows, want %d", got, want)
@@ -65,12 +71,7 @@ func TestTrackerErrorBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mix the paths: batches plus a tail of single updates.
-	half := len(pkts) / 2
-	tk.UpdateBatch(pkts[:half])
-	for _, p := range pkts[half:] {
-		tk.Update(p)
-	}
+	addPackets(tk, pkts)
 
 	n := truth.Packets()
 	if got := tk.Packets(); got != n {
@@ -110,7 +111,7 @@ func TestTrackerWeighted(t *testing.T) {
 	for i, k := range keys {
 		a.Add(k, weights[i])
 		for j := uint32(0); j < weights[i]; j++ {
-			b.Update(flow.Packet{Key: k})
+			b.Add(k, 1)
 		}
 	}
 	ga, gb := a.AppendTopK(nil, 10), b.AppendTopK(nil, 10)
@@ -153,100 +154,20 @@ func TestNewTrackerRejectsBadCapacity(t *testing.T) {
 	if _, err := NewTracker(0); err == nil {
 		t.Error("accepted capacity 0")
 	}
-	if _, err := NewSet(0, 8); err == nil {
-		t.Error("accepted 0 shards")
-	}
-	if _, err := NewSet(2, 0); err == nil {
-		t.Error("accepted per-shard capacity 0")
-	}
 }
 
-// TestSetAttachedMatchesTruth drives a sharded recorder with the set
-// attached as its ingest sidecar and checks the merged cross-shard top-k
-// against ground truth, through both the sync and async batch paths.
-func TestSetAttachedMatchesTruth(t *testing.T) {
-	pkts, truth := genTrace(t, 2000, 3)
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := flowmon.Config{MemoryBytes: 1 << 20, Seed: 1}
-			var (
-				s   *shard.Sharded
-				err error
-			)
-			if async {
-				s, err = shard.NewUniformAsync(4, 0, flowmon.AlgorithmHashFlow, cfg)
-			} else {
-				s, err = shard.NewUniform(4, flowmon.AlgorithmHashFlow, cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			set, err := AttachSet(s, truth.Flows())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const batch = 256
-			for i := 0; i < len(pkts); i += batch {
-				end := min(i+batch, len(pkts))
-				s.UpdateBatch(pkts[i:end])
-			}
-			s.Flush()
-
-			if got, want := set.Packets(), truth.Packets(); got != want {
-				t.Fatalf("set absorbed %d packets, want %d", got, want)
-			}
-			const k = 20
-			got := set.AppendTopK(nil, k)
-			want := truth.TopK(k)
-			if len(got) != len(want) {
-				t.Fatalf("top-%d returned %d records, want %d", k, len(got), len(want))
-			}
-			for i := range got {
-				// Capacity covers every flow, so counts are exact and the
-				// merged order must match the sort-based ground truth.
-				if got[i].Count != want[i].Count {
-					t.Errorf("rank %d: count %d, want %d", i, got[i].Count, want[i].Count)
-				}
-			}
-
-			// The key-sorted view must be sorted and duplicate-free
-			// (shard routing keeps keys disjoint).
-			sorted := set.AppendSorted(nil)
-			for i := 1; i < len(sorted); i++ {
-				if flow.CompareKeys(sorted[i-1].Key, sorted[i].Key) >= 0 {
-					t.Fatalf("AppendSorted out of order at %d", i)
-				}
-			}
-
-			// Sharded.Reset must clear the attached sidecars too.
-			s.Reset()
-			if got := set.AppendTopK(nil, 4); len(got) != 0 {
-				t.Fatalf("after recorder Reset the set still reports %d flows", len(got))
-			}
-		})
-	}
-}
-
-// TestSetConcurrentQueries hammers the set with snapshot queries while a
-// parallel feed is in flight — the live /topk serving pattern. Run under
-// -race this pins the locking contract.
-func TestSetConcurrentQueries(t *testing.T) {
-	pkts, _ := genTrace(t, 1000, 4)
-	s, err := shard.NewUniformAsync(4, 0, flowmon.AlgorithmHashFlow,
-		flowmon.Config{MemoryBytes: 1 << 20, Seed: 1})
+// TestTrackerConcurrentQueries hammers the tracker with snapshot queries
+// while several publishers add records — the live /topk serving pattern.
+// Run under -race this pins the locking contract.
+func TestTrackerConcurrentQueries(t *testing.T) {
+	pkts, truth := genTrace(t, 1000, 4)
+	tk, err := NewTracker(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	set, err := AttachSet(s, 128)
-	if err != nil {
-		t.Fatal(err)
+	recs := make([]flow.Record, len(pkts))
+	for i, p := range pkts {
+		recs[i] = flow.Record{Key: p.Key, Count: 1}
 	}
 
 	done := make(chan struct{})
@@ -254,98 +175,26 @@ func TestSetConcurrentQueries(t *testing.T) {
 		defer close(done)
 		var buf []flow.Record
 		for i := 0; i < 200; i++ {
-			buf = set.AppendTopK(buf[:0], 10)
+			buf = tk.AppendTopK(buf[:0], 10)
+			buf = tk.AppendSorted(buf[:0])
 		}
 	}()
-	s.FeedParallel(pkts, 4)
+	const publishers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		wg.Add(1)
+		go func(part []flow.Record) {
+			defer wg.Done()
+			for i := 0; i < len(part); i += 64 {
+				tk.AddRecords(part[i:min(i+64, len(part))])
+			}
+		}(recs[w*len(recs)/publishers : (w+1)*len(recs)/publishers])
+	}
+	wg.Wait()
 	<-done
 
-	if got := set.Packets(); got != uint64(len(pkts)) {
-		t.Fatalf("set absorbed %d packets, want %d", got, len(pkts))
-	}
-}
-
-func BenchmarkTrackerUpdateBatch(b *testing.B) {
-	tr, err := trace.Generate(trace.CAIDA, 50000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts := tr.Packets(1)
-	tk, _ := NewTracker(1024)
-	b.ResetTimer()
-	b.SetBytes(0)
-	for i := 0; i < b.N; i++ {
-		const batch = 256
-		for j := 0; j < len(pkts); j += batch {
-			tk.UpdateBatch(pkts[j:min(j+batch, len(pkts))])
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
-}
-
-func BenchmarkSetAppendTopK(b *testing.B) {
-	pkts, _ := genTrace(b, 20000, 1)
-	set, err := NewSet(4, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, t := range set.Trackers() {
-		for j, p := range pkts {
-			if j%4 == i {
-				t.Update(p)
-			}
-		}
-	}
-	var buf []flow.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = set.AppendTopK(buf[:0], 10)
-	}
-}
-
-// TestUpdateBatchPreAggregation: the batched path pre-aggregates by key
-// before the Space-Saving update; with ample capacity the result must be
-// identical to per-packet updates, across batch shapes that stress the
-// aggregation table (all-duplicate, all-distinct, oversized, empty).
-func TestUpdateBatchPreAggregation(t *testing.T) {
-	shapes := map[string][]flow.Packet{}
-	var dup, mixed, big []flow.Packet
-	for i := 0; i < 300; i++ {
-		dup = append(dup, flow.Packet{Key: flow.Key{SrcIP: 7, Proto: 6}})
-		mixed = append(mixed, flow.Packet{Key: flow.Key{SrcIP: uint32(i % 13), Proto: 6}})
-	}
-	for i := 0; i < 3000; i++ { // far past the initial table sizing
-		big = append(big, flow.Packet{Key: flow.Key{SrcIP: uint32(i % 500), DstPort: 443, Proto: 6}})
-	}
-	shapes["duplicates"] = dup
-	shapes["mixed"] = mixed
-	shapes["oversized"] = big
-	shapes["empty"] = nil
-
-	for name, pkts := range shapes {
-		t.Run(name, func(t *testing.T) {
-			batched, _ := NewTracker(1024)
-			single, _ := NewTracker(1024)
-			batched.UpdateBatch(pkts)
-			// A second batch reuses the cleared aggregation table.
-			batched.UpdateBatch(pkts)
-			for _, p := range pkts {
-				single.Update(p)
-				single.Update(p)
-			}
-			if batched.Packets() != single.Packets() {
-				t.Fatalf("packets %d vs %d", batched.Packets(), single.Packets())
-			}
-			gb, gs := batched.AppendSorted(nil), single.AppendSorted(nil)
-			if len(gb) != len(gs) {
-				t.Fatalf("tracked %d vs %d flows", len(gb), len(gs))
-			}
-			for i := range gb {
-				if gb[i] != gs[i] {
-					t.Errorf("record %d: %+v vs %+v", i, gb[i], gs[i])
-				}
-			}
-		})
+	if got := tk.Packets(); got != truth.Packets() {
+		t.Fatalf("tracker absorbed %d packets, want %d", got, truth.Packets())
 	}
 }
 
@@ -399,7 +248,7 @@ func TestAppendTopKMatchesFullSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk.UpdateBatch(pkts)
+	addPackets(tk, pkts)
 	all := tk.AppendSorted(nil)
 	sortCountDesc(all)
 
@@ -428,7 +277,7 @@ func BenchmarkTrackerAppendTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tk.UpdateBatch(pkts)
+	addPackets(tk, pkts)
 	var buf []flow.Record
 	b.ReportAllocs()
 	b.ResetTimer()
