@@ -321,12 +321,13 @@ func (m *Manager) Update(p flow.Packet) {
 	}
 }
 
-// UpdateBatch processes a batch of packets via the single-packet fallback
-// adapter: epoch boundaries are checked per packet, so the manager cannot
-// hand the whole batch to the recorder without risking a missed flush
-// inside the batch.
+// UpdateBatch processes a batch of packets one Update at a time: epoch
+// boundaries are checked per packet, so the manager cannot hand the whole
+// batch to the recorder without risking a missed flush inside the batch.
 func (m *Manager) UpdateBatch(pkts []flow.Packet) {
-	flowmon.UpdateAll(m, pkts)
+	for _, p := range pkts {
+		m.Update(p)
+	}
 }
 
 // Flush ends the current epoch and starts the next one: the full recorder

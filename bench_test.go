@@ -44,19 +44,33 @@ func benchTrace(b *testing.B, p trace.Profile, flows int) ([]flow.Packet, *flow.
 }
 
 // BenchmarkUpdate measures raw per-packet update cost of each algorithm —
-// the real-throughput half of Fig. 11a.
+// the real-throughput half of Fig. 11a — through both entry points: one
+// Update call per packet, and UpdateBatch over batches of shardBatchSize.
+// Both report ns per packet.
 func BenchmarkUpdate(b *testing.B) {
 	pkts, _ := benchTrace(b, trace.CAIDA, benchFlows)
-	for _, a := range flowmon.All() {
-		b.Run(a.String(), func(b *testing.B) {
-			rec, err := flowmon.New(a, flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, a := range append(flowmon.All(), flowmon.Extras()...) {
+		rec, err := flowmon.New(a, flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(a.String()+"/packet", func(b *testing.B) {
+			rec.Reset()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec.Update(pkts[i%len(pkts)])
+			}
+		})
+		b.Run(fmt.Sprintf("%v/batch=%d", a, shardBatchSize), func(b *testing.B) {
+			rec.Reset()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				off := done % len(pkts)
+				n := min(shardBatchSize, len(pkts)-off, b.N-done)
+				rec.UpdateBatch(pkts[off : off+n])
+				done += n
 			}
 		})
 	}

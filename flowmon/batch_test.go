@@ -42,98 +42,77 @@ func feedBatches(rec flowmon.Recorder, pkts []flow.Packet) {
 }
 
 // TestBatchSequentialEquivalence is the core batching contract: for every
-// algorithm, UpdateBatch must leave the recorder in a state byte-identical
-// to per-packet Update on the same packet sequence — same records, same
-// size estimates, same cardinality estimate, same operation counts.
+// algorithm and every trace profile, UpdateBatch must leave the recorder in
+// a state byte-identical to per-packet Update on the same packet sequence —
+// same records, same size estimates, same cardinality estimate, same
+// operation counts.
 func TestBatchSequentialEquivalence(t *testing.T) {
-	tr, err := trace.Generate(trace.Campus, 8000, 7)
-	if err != nil {
-		t.Fatal(err)
+	type workload struct {
+		name  string
+		pkts  []flow.Packet
+		truth *flow.Truth
 	}
-	pkts := tr.Packets(7)
-	truth := tr.Truth()
+	var workloads []workload
+	for _, prof := range trace.Profiles() {
+		tr, err := trace.Generate(prof, 8000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads = append(workloads, workload{prof.Name, tr.Packets(7), tr.Truth()})
+	}
 
 	algos := append(flowmon.All(), flowmon.Extras()...)
 	for _, a := range algos {
 		t.Run(a.String(), func(t *testing.T) {
-			seq, err := flowmon.New(a, batchCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bat, err := flowmon.New(a, batchCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, p := range pkts {
-				seq.Update(p)
-			}
-			feedBatches(bat, pkts)
-
-			if s, b := seq.OpStats(), bat.OpStats(); s != b {
-				t.Errorf("OpStats diverge: sequential %+v, batched %+v", s, b)
-			}
-			if s, b := seq.EstimateCardinality(), bat.EstimateCardinality(); s != b {
-				t.Errorf("EstimateCardinality diverges: sequential %v, batched %v", s, b)
-			}
-			if s, b := seq.MemoryBytes(), bat.MemoryBytes(); s != b {
-				t.Errorf("MemoryBytes diverges: sequential %d, batched %d", s, b)
-			}
-
-			sr, br := seq.Records(), bat.Records()
-			sortRecords(sr)
-			sortRecords(br)
-			if len(sr) != len(br) {
-				t.Fatalf("record counts diverge: sequential %d, batched %d", len(sr), len(br))
-			}
-			for i := range sr {
-				if sr[i] != br[i] {
-					t.Fatalf("record %d diverges: sequential %+v, batched %+v", i, sr[i], br[i])
-				}
-			}
-
-			for _, rec := range truth.Records() {
-				if s, b := seq.EstimateSize(rec.Key), bat.EstimateSize(rec.Key); s != b {
-					t.Fatalf("EstimateSize(%v) diverges: sequential %d, batched %d", rec.Key, s, b)
-				}
+			for _, w := range workloads {
+				t.Run(w.name, func(t *testing.T) {
+					checkBatchEquivalence(t, a, w.pkts, w.truth)
+				})
 			}
 		})
 	}
 }
 
-// TestUpdateAllAdapter checks the single-packet fallback adapter against
-// the native batched path.
-func TestUpdateAllAdapter(t *testing.T) {
-	tr, err := trace.Generate(trace.ISP1, 3000, 11)
+func checkBatchEquivalence(t *testing.T, a flowmon.Algorithm, pkts []flow.Packet, truth *flow.Truth) {
+	seq, err := flowmon.New(a, batchCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts := tr.Packets(11)
-
-	native, err := flowmon.New(flowmon.AlgorithmHashFlow, batchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapted, err := flowmon.New(flowmon.AlgorithmHashFlow, batchCfg)
+	bat, err := flowmon.New(a, batchCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	native.UpdateBatch(pkts)
-	flowmon.UpdateAll(adapted, pkts)
+	for _, p := range pkts {
+		seq.Update(p)
+	}
+	feedBatches(bat, pkts)
 
-	if n, a := native.OpStats(), adapted.OpStats(); n != a {
-		t.Errorf("OpStats diverge: native %+v, adapter %+v", n, a)
+	if s, b := seq.OpStats(), bat.OpStats(); s != b {
+		t.Errorf("OpStats diverge: sequential %+v, batched %+v", s, b)
 	}
-	nr, ar := native.Records(), adapted.Records()
-	sortRecords(nr)
-	sortRecords(ar)
-	if len(nr) != len(ar) {
-		t.Fatalf("record counts diverge: native %d, adapter %d", len(nr), len(ar))
+	if s, b := seq.EstimateCardinality(), bat.EstimateCardinality(); s != b {
+		t.Errorf("EstimateCardinality diverges: sequential %v, batched %v", s, b)
 	}
-	for i := range nr {
-		if nr[i] != ar[i] {
-			t.Fatalf("record %d diverges: native %+v, adapter %+v", i, nr[i], ar[i])
+	if s, b := seq.MemoryBytes(), bat.MemoryBytes(); s != b {
+		t.Errorf("MemoryBytes diverges: sequential %d, batched %d", s, b)
+	}
+
+	sr, br := seq.Records(), bat.Records()
+	sortRecords(sr)
+	sortRecords(br)
+	if len(sr) != len(br) {
+		t.Fatalf("record counts diverge: sequential %d, batched %d", len(sr), len(br))
+	}
+	for i := range sr {
+		if sr[i] != br[i] {
+			t.Fatalf("record %d diverges: sequential %+v, batched %+v", i, sr[i], br[i])
+		}
+	}
+
+	for _, rec := range truth.Records() {
+		if s, b := seq.EstimateSize(rec.Key), bat.EstimateSize(rec.Key); s != b {
+			t.Fatalf("EstimateSize(%v) diverges: sequential %d, batched %d", rec.Key, s, b)
 		}
 	}
 }

@@ -98,11 +98,10 @@ type Recorder interface {
 	// Update processes one packet.
 	Update(p flow.Packet)
 	// UpdateBatch processes a batch of packets, exactly equivalent to
-	// calling Update for each packet in order, but amortizing per-packet
-	// overhead (hash reuse, bounds checks, statistics bookkeeping). All
-	// implementations guarantee batch/sequential equivalence: the state
-	// after UpdateBatch(pkts) is identical to the state after the
-	// corresponding sequence of Update calls.
+	// calling Update for each packet in order. Every implementation runs
+	// one per-packet update body under both methods, so the equivalence
+	// holds by construction; the batch only adds its operation counts to
+	// OpStats once.
 	UpdateBatch(pkts []flow.Packet)
 	// Records reports the flow records currently held. For algorithms with
 	// a summarized region (HashFlow's ancillary table, ElasticSketch's
@@ -128,23 +127,6 @@ type Recorder interface {
 	OpStats() flow.OpStats
 	// Reset returns the recorder to its empty state.
 	Reset()
-}
-
-// SingleUpdater is the per-packet half of Recorder. Wrappers that cannot
-// batch natively (epoch managers, instrumented decorators, test doubles)
-// satisfy UpdateBatch by delegating to UpdateAll.
-type SingleUpdater interface {
-	Update(p flow.Packet)
-}
-
-// UpdateAll is the default batch adapter: it feeds pkts to r one packet at
-// a time, preserving order. It is the fallback for recorders without a
-// native batched path and the reference semantics every native UpdateBatch
-// implementation must match.
-func UpdateAll(r SingleUpdater, pkts []flow.Packet) {
-	for _, p := range pkts {
-		r.Update(p)
-	}
 }
 
 // Compile-time interface checks for all implementations.

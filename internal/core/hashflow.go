@@ -170,35 +170,55 @@ func (h *HashFlow) probe(k int, w1, w2 uint64) (int, uint64) {
 	return 0, hashing.Reduce(h.family.Hash(k, w1, w2), uint64(len(h.tables[0])))
 }
 
-// Update processes one packet following Algorithm 1: collision resolution
-// over the main table, then the ancillary table with record promotion.
-func (h *HashFlow) Update(p flow.Packet) {
-	h.ops.Packets++
+// Update processes one packet following Algorithm 1.
+func (h *HashFlow) Update(p flow.Packet) { h.update(&p, &h.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls,
+// adding the operation counts to the recorder's total once per batch.
+func (h *HashFlow) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		h.update(&pkts[i], &ops)
+	}
+	h.ops = h.ops.Add(ops)
+}
+
+// update is Algorithm 1 for one packet: collision resolution over the main
+// table, then the ancillary table with record promotion. Its operation
+// counts go to ops.
+func (h *HashFlow) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
 	w1, w2 := p.Key.Words()
+
+	// The digest is derived from the first hash result, costing no extra
+	// hash computation (Algorithm 1, line 15).
+	h0 := h.family.Hash(0, w1, w2)
+	digest := uint8(h0) & h.dmask
 
 	// Collision resolution over the d main-table probes.
 	minCount := uint32(math.MaxUint32)
 	posT, posI := -1, uint64(0)
-	var digest uint8
 	for k := 0; k < h.cfg.Depth; k++ {
-		h.ops.Hashes++
-		t, i := h.probe(k, w1, w2)
+		ops.Hashes++
+		var t int
+		var i uint64
 		if k == 0 {
-			// The digest is derived from the first hash result, costing no
-			// extra hash computation (Algorithm 1, line 15).
-			digest = uint8(h.family.Hash(0, w1, w2)) & h.dmask
+			// Both layouts probe tables[0] with hash 0 first.
+			i = hashing.Reduce(h0, uint64(len(h.tables[0])))
+		} else {
+			t, i = h.probe(k, w1, w2)
 		}
 		b := &h.tables[t][i]
-		h.ops.MemAccesses++
+		ops.MemAccesses++
 		if b.count == 0 {
 			b.key = p.Key
 			b.count = 1
-			h.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		}
 		if b.key == p.Key {
 			b.count++
-			h.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		}
 		if b.count < minCount {
@@ -208,21 +228,21 @@ func (h *HashFlow) Update(p flow.Packet) {
 	}
 
 	// Ancillary table.
-	h.ops.Hashes++
+	ops.Hashes++
 	ai := hashing.Reduce(h.family.Hash(h.cfg.Depth, w1, w2), uint64(len(h.anc)))
 	a := &h.anc[ai]
-	h.ops.MemAccesses++
+	ops.MemAccesses++
 	switch {
 	case a.count == 0 || a.digest != digest:
 		// Empty, or collision with a different flow: replace (discard the
 		// incumbent mouse).
 		a.digest = digest
 		a.count = 1
-		h.ops.MemAccesses++
+		ops.MemAccesses++
 	case uint32(a.count) < minCount || h.cfg.DisablePromotion:
 		if a.count < math.MaxUint8 {
 			a.count++
-			h.ops.MemAccesses++
+			ops.MemAccesses++
 		}
 	default:
 		// Record promotion: the ancillary record has grown to the size of
@@ -231,90 +251,8 @@ func (h *HashFlow) Update(p flow.Packet) {
 		mb := &h.tables[posT][posI]
 		mb.key = p.Key
 		mb.count = uint32(a.count) + 1
-		h.ops.MemAccesses++
-	}
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls. The batched path amortizes per-packet overhead: the first
-// probe hash is computed once and shared with the digest derivation
-// (Update derives the digest by re-evaluating hash 0), invariant loads are
-// hoisted out of the packet loop, and operation counters accumulate in a
-// register-resident struct flushed once per batch.
-func (h *HashFlow) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-	depth := h.cfg.Depth
-	t0len := uint64(len(h.tables[0]))
-	ancLen := uint64(len(h.anc))
-	dmask := h.dmask
-
-	for pi := range pkts {
-		p := &pkts[pi]
-		ops.Packets++
-		w1, w2 := p.Key.Words()
-
-		h0 := h.family.Hash(0, w1, w2)
-		digest := uint8(h0) & dmask
-
-		minCount := uint32(math.MaxUint32)
-		posT, posI := -1, uint64(0)
-		placed := false
-		for k := 0; k < depth; k++ {
-			ops.Hashes++
-			var t int
-			var i uint64
-			if k == 0 {
-				// Both layouts probe tables[0] with hash 0 first.
-				t, i = 0, hashing.Reduce(h0, t0len)
-			} else {
-				t, i = h.probe(k, w1, w2)
-			}
-			b := &h.tables[t][i]
-			ops.MemAccesses++
-			if b.count == 0 {
-				b.key = p.Key
-				b.count = 1
-				ops.MemAccesses++
-				placed = true
-				break
-			}
-			if b.key == p.Key {
-				b.count++
-				ops.MemAccesses++
-				placed = true
-				break
-			}
-			if b.count < minCount {
-				minCount = b.count
-				posT, posI = t, i
-			}
-		}
-		if placed {
-			continue
-		}
-
-		ops.Hashes++
-		ai := hashing.Reduce(h.family.Hash(depth, w1, w2), ancLen)
-		a := &h.anc[ai]
 		ops.MemAccesses++
-		switch {
-		case a.count == 0 || a.digest != digest:
-			a.digest = digest
-			a.count = 1
-			ops.MemAccesses++
-		case uint32(a.count) < minCount || h.cfg.DisablePromotion:
-			if a.count < math.MaxUint8 {
-				a.count++
-				ops.MemAccesses++
-			}
-		default:
-			mb := &h.tables[posT][posI]
-			mb.key = p.Key
-			mb.count = uint32(a.count) + 1
-			ops.MemAccesses++
-		}
 	}
-	h.ops = h.ops.Add(ops)
 }
 
 // EstimateSize returns the recorded packet count for a flow: the exact

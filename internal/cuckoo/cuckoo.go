@@ -83,67 +83,80 @@ func New(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// bucket returns the slot slice of the key's bucket in the given table.
-func (t *Table) bucket(table int, k flow.Key) []cell {
-	w1, w2 := k.Words()
-	return t.bucketW(table, w1, w2)
-}
-
-// bucketW is bucket with the key already packed, so batched callers pack
-// each key once instead of once per candidate table.
-func (t *Table) bucketW(table int, w1, w2 uint64) []cell {
+// bucket returns the slot slice of the packed key's bucket in the given
+// table.
+func (t *Table) bucket(table int, w1, w2 uint64) []cell {
 	b := t.family.Bucket(table, w1, w2, t.buckets)
 	return t.tables[table][b*BucketSlots : (b+1)*BucketSlots]
 }
 
-// Update processes one packet: increment on hit, insert into a free slot,
-// otherwise displace along the cuckoo chain up to MaxKicks.
-func (t *Table) Update(p flow.Packet) {
-	t.ops.Packets++
+// Update processes one packet.
+func (t *Table) Update(p flow.Packet) { t.update(&p, &t.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls —
+// RNG draws for displacement happen in identical order — adding the
+// operation counts to the recorder's total once per batch.
+func (t *Table) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		t.update(&pkts[i], &ops)
+	}
+	t.ops = t.ops.Add(ops)
+}
+
+// update processes one packet, counting operations in ops: increment on
+// hit, insert into a free slot, otherwise displace along the cuckoo chain
+// up to MaxKicks.
+func (t *Table) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
+	w1, w2 := p.Key.Words()
 
 	// Fast path: hit or free slot in either candidate bucket.
 	for i := 0; i < numTables; i++ {
-		t.ops.Hashes++
-		b := t.bucket(i, p.Key)
-		t.ops.MemAccesses++ // one bucket read
+		ops.Hashes++
+		b := t.bucket(i, w1, w2)
+		ops.MemAccesses++ // one bucket read
 		for s := range b {
 			if b[s].count > 0 && b[s].key == p.Key {
 				b[s].count++
-				t.ops.MemAccesses++
+				ops.MemAccesses++
 				return
 			}
 		}
 		for s := range b {
 			if b[s].count == 0 {
 				b[s] = cell{key: p.Key, count: 1}
-				t.ops.MemAccesses++
+				ops.MemAccesses++
 				return
 			}
 		}
 	}
 
-	// Both candidate buckets are full of other flows: displace.
+	// Both candidate buckets are full of other flows: displace. The carried
+	// record's key is packed once per kick.
 	carried := cell{key: p.Key, count: 1}
+	cw1, cw2 := w1, w2
 	table := t.rng.IntN(numTables)
 	for kick := 0; kick < t.cfg.MaxKicks; kick++ {
-		t.ops.Hashes++
-		b := t.bucket(table, carried.key)
-		t.ops.MemAccesses += 2
+		ops.Hashes++
+		b := t.bucket(table, cw1, cw2)
+		ops.MemAccesses += 2
 		victim := t.rng.IntN(BucketSlots)
 		carried, b[victim] = b[victim], carried
 		if carried.count == 0 {
 			return // displaced into a hole
 		}
 		// The displaced record's alternate bucket is in the other table.
+		cw1, cw2 = carried.key.Words()
 		table = 1 - table
 		// If the alternate bucket has room, settle there.
-		alt := t.bucket(table, carried.key)
-		t.ops.Hashes++
-		t.ops.MemAccesses++
+		alt := t.bucket(table, cw1, cw2)
+		ops.Hashes++
+		ops.MemAccesses++
 		for s := range alt {
 			if alt[s].count == 0 {
 				alt[s] = carried
-				t.ops.MemAccesses++
+				ops.MemAccesses++
 				return
 			}
 		}
@@ -152,73 +165,11 @@ func (t *Table) Update(p flow.Packet) {
 	t.evicted++
 }
 
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls — RNG draws for displacement happen in identical order —
-// packing each key into its two hash words once per packet instead of once
-// per candidate bucket, and batching the statistics writes.
-func (t *Table) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-
-outer:
-	for pi := range pkts {
-		p := &pkts[pi]
-		ops.Packets++
-		w1, w2 := p.Key.Words()
-
-		for i := 0; i < numTables; i++ {
-			ops.Hashes++
-			b := t.bucketW(i, w1, w2)
-			ops.MemAccesses++
-			for s := range b {
-				if b[s].count > 0 && b[s].key == p.Key {
-					b[s].count++
-					ops.MemAccesses++
-					continue outer
-				}
-			}
-			for s := range b {
-				if b[s].count == 0 {
-					b[s] = cell{key: p.Key, count: 1}
-					ops.MemAccesses++
-					continue outer
-				}
-			}
-		}
-
-		carried := cell{key: p.Key, count: 1}
-		cw1, cw2 := w1, w2
-		table := t.rng.IntN(numTables)
-		for kick := 0; kick < t.cfg.MaxKicks; kick++ {
-			ops.Hashes++
-			b := t.bucketW(table, cw1, cw2)
-			ops.MemAccesses += 2
-			victim := t.rng.IntN(BucketSlots)
-			carried, b[victim] = b[victim], carried
-			if carried.count == 0 {
-				continue outer
-			}
-			cw1, cw2 = carried.key.Words()
-			table = 1 - table
-			alt := t.bucketW(table, cw1, cw2)
-			ops.Hashes++
-			ops.MemAccesses++
-			for s := range alt {
-				if alt[s].count == 0 {
-					alt[s] = carried
-					ops.MemAccesses++
-					continue outer
-				}
-			}
-		}
-		t.evicted++
-	}
-	t.ops = t.ops.Add(ops)
-}
-
 // EstimateSize returns the stored count of a flow, 0 if absent.
 func (t *Table) EstimateSize(k flow.Key) uint32 {
+	w1, w2 := k.Words()
 	for i := 0; i < numTables; i++ {
-		for _, c := range t.bucket(i, k) {
+		for _, c := range t.bucket(i, w1, w2) {
 			if c.count > 0 && c.key == k {
 				return c.count
 			}

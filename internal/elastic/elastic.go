@@ -94,28 +94,41 @@ func New(cfg Config) (*Elastic, error) {
 	return e, nil
 }
 
-// Update processes one packet: try each heavy sub-table for an empty or
-// matching bucket; on total miss, vote against the smallest colliding
-// bucket and either spill the packet to the light part or evict the
-// incumbent when the vote ratio reaches λ.
-func (e *Elastic) Update(p flow.Packet) {
-	e.ops.Packets++
+// Update processes one packet.
+func (e *Elastic) Update(p flow.Packet) { e.update(&p, &e.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls,
+// adding the operation counts to the recorder's total once per batch.
+func (e *Elastic) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		e.update(&pkts[i], &ops)
+	}
+	e.ops = e.ops.Add(ops)
+}
+
+// update processes one packet, counting operations in ops: try each heavy
+// sub-table for an empty or matching bucket; on total miss, vote against
+// the smallest colliding bucket and either spill the packet to the light
+// part or evict the incumbent when the vote ratio reaches λ.
+func (e *Elastic) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
 	w1, w2 := p.Key.Words()
 
 	var minB *heavyBucket
 	for s := range e.heavy {
 		idx := e.family.Bucket(s, w1, w2, uint64(len(e.heavy[s])))
-		e.ops.Hashes++
-		e.ops.MemAccesses++
+		ops.Hashes++
+		ops.MemAccesses++
 		b := &e.heavy[s][idx]
 		if b.votePlus == 0 {
 			*b = heavyBucket{key: p.Key, votePlus: 1}
-			e.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		}
 		if b.key == p.Key {
 			b.votePlus++
-			e.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		}
 		if minB == nil || b.votePlus < minB.votePlus {
@@ -124,74 +137,22 @@ func (e *Elastic) Update(p flow.Packet) {
 	}
 
 	minB.voteMinus++
-	e.ops.MemAccesses++
+	ops.MemAccesses++
 	if minB.voteMinus >= uint32(e.cfg.Lambda)*minB.votePlus {
 		// Evict the incumbent to the light part; the incoming flow takes
 		// the bucket with flag set, since its earlier packets (this one
 		// included) may live in the light part.
 		ew1, ew2 := minB.key.Words()
 		e.light.Add(ew1, ew2, minB.votePlus)
-		e.ops.Hashes++
+		ops.Hashes++
 		*minB = heavyBucket{key: p.Key, votePlus: 1, voteMinus: 1, flag: true}
-		e.ops.MemAccesses++
+		ops.MemAccesses++
 		return
 	}
 	// No eviction: the packet itself goes to the light part.
 	e.light.Add(w1, w2, 1)
-	e.ops.Hashes++
-	e.ops.MemAccesses += 2
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls, hoisting the sub-table slice headers and the λ threshold
-// out of the packet loop and flushing operation counters once per batch.
-func (e *Elastic) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-	heavy := e.heavy
-	lambda := uint32(e.cfg.Lambda)
-
-outer:
-	for pi := range pkts {
-		p := &pkts[pi]
-		ops.Packets++
-		w1, w2 := p.Key.Words()
-
-		var minB *heavyBucket
-		for s := range heavy {
-			idx := e.family.Bucket(s, w1, w2, uint64(len(heavy[s])))
-			ops.Hashes++
-			ops.MemAccesses++
-			b := &heavy[s][idx]
-			if b.votePlus == 0 {
-				*b = heavyBucket{key: p.Key, votePlus: 1}
-				ops.MemAccesses++
-				continue outer
-			}
-			if b.key == p.Key {
-				b.votePlus++
-				ops.MemAccesses++
-				continue outer
-			}
-			if minB == nil || b.votePlus < minB.votePlus {
-				minB = b
-			}
-		}
-
-		minB.voteMinus++
-		ops.MemAccesses++
-		if minB.voteMinus >= lambda*minB.votePlus {
-			ew1, ew2 := minB.key.Words()
-			e.light.Add(ew1, ew2, minB.votePlus)
-			ops.Hashes++
-			*minB = heavyBucket{key: p.Key, votePlus: 1, voteMinus: 1, flag: true}
-			ops.MemAccesses++
-			continue
-		}
-		e.light.Add(w1, w2, 1)
-		ops.Hashes++
-		ops.MemAccesses += 2
-	}
-	e.ops = e.ops.Add(ops)
+	ops.Hashes++
+	ops.MemAccesses += 2
 }
 
 // EstimateSize returns vote+ for heavy-part flows (plus the light estimate

@@ -119,78 +119,48 @@ func (fr *FlowRadar) positions(w1, w2 uint64, buf []uint64) []uint64 {
 	return buf
 }
 
-// Update processes one packet: a Bloom miss marks a new flow (encode its ID
-// into the coded flow set), and every packet increments the packet counts
-// of the flow's cells.
-func (fr *FlowRadar) Update(p flow.Packet) {
-	fr.ops.Packets++
+// Update processes one packet.
+func (fr *FlowRadar) Update(p flow.Packet) { fr.update(&p, &fr.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls,
+// adding the operation counts to the recorder's total once per batch.
+func (fr *FlowRadar) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		fr.update(&pkts[i], &ops)
+	}
+	fr.ops = fr.ops.Add(ops)
+}
+
+// update processes one packet, counting operations in ops: a Bloom miss
+// marks a new flow (encode its ID into the coded flow set), and every
+// packet increments the packet counts of the flow's cells. One
+// AddIfMissing probe both tests and sets the Bloom bits, so the counts
+// model switch cost: BloomHashes hashes, plus the bit writes of a new flow.
+func (fr *FlowRadar) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
 	fr.decodeDone = false
 	w1, w2 := p.Key.Words()
 
-	isNew := !fr.bloom.Contains(w1, w2)
-	fr.ops.Hashes += uint64(fr.cfg.BloomHashes)
-	fr.ops.MemAccesses += uint64(fr.cfg.BloomHashes)
+	isNew := fr.bloom.AddIfMissing(w1, w2)
+	ops.Hashes += uint64(fr.cfg.BloomHashes)
+	ops.MemAccesses += uint64(fr.cfg.BloomHashes)
 	if isNew {
-		fr.bloom.Add(w1, w2)
-		fr.ops.MemAccesses += uint64(fr.cfg.BloomHashes)
+		ops.MemAccesses += uint64(fr.cfg.BloomHashes)
 	}
 
 	var posBuf [8]uint64
 	pos := fr.positions(w1, w2, posBuf[:0])
-	fr.ops.Hashes += uint64(fr.cfg.CellHashes)
+	ops.Hashes += uint64(fr.cfg.CellHashes)
 	for _, idx := range pos {
 		c := &fr.cells[idx]
-		fr.ops.MemAccesses += 2
+		ops.MemAccesses += 2
 		if isNew {
 			c.flowXOR = c.flowXOR.XOR(p.Key)
 			c.flowCount++
 		}
 		c.packetCount++
 	}
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls. The batched path probes the Bloom filter once per packet
-// via AddIfMissing (Update's Contains-then-Add hashes each new flow's key
-// twice), reuses one position scratch buffer across the whole batch, and
-// flushes operation counters once. The reported OpStats are identical to
-// the sequential path: they model switch cost, where the membership probe
-// and the bit writes share one hash evaluation.
-func (fr *FlowRadar) UpdateBatch(pkts []flow.Packet) {
-	if len(pkts) == 0 {
-		return
-	}
-	fr.decodeDone = false
-	var ops flow.OpStats
-	bloomHashes := uint64(fr.cfg.BloomHashes)
-	cellHashes := uint64(fr.cfg.CellHashes)
-	var posBuf [8]uint64
-
-	for pi := range pkts {
-		p := &pkts[pi]
-		ops.Packets++
-		w1, w2 := p.Key.Words()
-
-		isNew := fr.bloom.AddIfMissing(w1, w2)
-		ops.Hashes += bloomHashes
-		ops.MemAccesses += bloomHashes
-		if isNew {
-			ops.MemAccesses += bloomHashes
-		}
-
-		pos := fr.positions(w1, w2, posBuf[:0])
-		ops.Hashes += cellHashes
-		for _, idx := range pos {
-			c := &fr.cells[idx]
-			ops.MemAccesses += 2
-			if isNew {
-				c.flowXOR = c.flowXOR.XOR(p.Key)
-				c.flowCount++
-			}
-			c.packetCount++
-		}
-	}
-	fr.ops = fr.ops.Add(ops)
 }
 
 // decode runs singleton peeling over a scratch copy of the counting table

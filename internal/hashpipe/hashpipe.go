@@ -70,109 +70,65 @@ func New(cfg Config) (*HashPipe, error) {
 }
 
 // Update processes one packet through the pipeline.
-func (hp *HashPipe) Update(p flow.Packet) {
-	hp.ops.Packets++
+func (hp *HashPipe) Update(p flow.Packet) { hp.update(&p, &hp.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls,
+// adding the operation counts to the recorder's total once per batch.
+func (hp *HashPipe) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		hp.update(&pkts[i], &ops)
+	}
+	hp.ops = hp.ops.Add(ops)
+}
+
+// update runs one packet through the pipeline, counting operations in ops.
+func (hp *HashPipe) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
 	w1, w2 := p.Key.Words()
 
 	// Stage 1: always insert; evict the incumbent if it is a different flow.
 	idx := hp.family.Bucket(0, w1, w2, uint64(len(hp.stages[0])))
-	hp.ops.Hashes++
-	hp.ops.MemAccesses++
+	ops.Hashes++
+	ops.MemAccesses++
 	c := &hp.stages[0][idx]
 	switch {
 	case c.count == 0:
 		*c = cell{key: p.Key, count: 1}
-		hp.ops.MemAccesses++
+		ops.MemAccesses++
 		return
 	case c.key == p.Key:
 		c.count++
-		hp.ops.MemAccesses++
+		ops.MemAccesses++
 		return
 	}
 	carried := *c
 	*c = cell{key: p.Key, count: 1}
-	hp.ops.MemAccesses++
+	ops.MemAccesses++
 
 	// Later stages: merge on match, fill empty, otherwise keep the larger
 	// record and carry the smaller one onward.
 	for s := 1; s < len(hp.stages); s++ {
 		cw1, cw2 := carried.key.Words()
 		idx := hp.family.Bucket(s, cw1, cw2, uint64(len(hp.stages[s])))
-		hp.ops.Hashes++
-		hp.ops.MemAccesses++
+		ops.Hashes++
+		ops.MemAccesses++
 		c := &hp.stages[s][idx]
 		switch {
 		case c.count == 0:
 			*c = carried
-			hp.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		case c.key == carried.key:
 			c.count += carried.count
-			hp.ops.MemAccesses++
+			ops.MemAccesses++
 			return
 		case carried.count > c.count:
 			carried, *c = *c, carried
-			hp.ops.MemAccesses++
+			ops.MemAccesses++
 		}
 	}
 	// The record evicted from the last stage is discarded.
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls, hoisting stage-slice loads out of the packet loop and
-// accumulating operation counters locally so the shared stats struct is
-// written once per batch.
-func (hp *HashPipe) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-	stage0 := hp.stages[0]
-	n0 := uint64(len(stage0))
-
-outer:
-	for pi := range pkts {
-		p := &pkts[pi]
-		ops.Packets++
-		w1, w2 := p.Key.Words()
-
-		idx := hp.family.Bucket(0, w1, w2, n0)
-		ops.Hashes++
-		ops.MemAccesses++
-		c := &stage0[idx]
-		switch {
-		case c.count == 0:
-			*c = cell{key: p.Key, count: 1}
-			ops.MemAccesses++
-			continue
-		case c.key == p.Key:
-			c.count++
-			ops.MemAccesses++
-			continue
-		}
-		carried := *c
-		*c = cell{key: p.Key, count: 1}
-		ops.MemAccesses++
-
-		for s := 1; s < len(hp.stages); s++ {
-			cw1, cw2 := carried.key.Words()
-			idx := hp.family.Bucket(s, cw1, cw2, uint64(len(hp.stages[s])))
-			ops.Hashes++
-			ops.MemAccesses++
-			c := &hp.stages[s][idx]
-			switch {
-			case c.count == 0:
-				*c = carried
-				ops.MemAccesses++
-				continue outer
-			case c.key == carried.key:
-				c.count += carried.count
-				ops.MemAccesses++
-				continue outer
-			case carried.count > c.count:
-				carried, *c = *c, carried
-				ops.MemAccesses++
-			}
-		}
-	}
-	hp.ops = hp.ops.Add(ops)
 }
 
 // EstimateSize sums the counts of every stage record matching the key —

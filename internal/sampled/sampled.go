@@ -81,44 +81,33 @@ func (r *Recorder) Sampled() uint64 { return r.sampled }
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Update samples the packet; a hit updates the flow cache.
-func (r *Recorder) Update(p flow.Packet) {
-	r.ops.Packets++
+func (r *Recorder) Update(p flow.Packet) { r.update(&p, &r.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls —
+// the sampler consumes RNG draws in identical order — adding the operation
+// counts to the recorder's total once per batch.
+func (r *Recorder) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		r.update(&pkts[i], &ops)
+	}
+	r.ops = r.ops.Add(ops)
+}
+
+// update samples one packet, counting operations in ops.
+func (r *Recorder) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
 	if r.cfg.Rate > 1 && r.rng.IntN(r.cfg.Rate) != 0 {
 		return
 	}
 	r.sampled++
-	r.ops.MemAccesses++
+	ops.MemAccesses++
 	if _, ok := r.counts[p.Key]; !ok && len(r.counts) >= r.capacity {
 		r.dropped++
 		return
 	}
 	r.counts[p.Key]++
-	r.ops.MemAccesses++
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls — the sampler consumes RNG draws in identical order — while
-// hoisting the rate check and batching the statistics writes. Most packets
-// fail the sampler, so the batched loop is little more than RNG draws.
-func (r *Recorder) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-	rate := r.cfg.Rate
-	for pi := range pkts {
-		ops.Packets++
-		if rate > 1 && r.rng.IntN(rate) != 0 {
-			continue
-		}
-		r.sampled++
-		ops.MemAccesses++
-		k := pkts[pi].Key
-		if _, ok := r.counts[k]; !ok && len(r.counts) >= r.capacity {
-			r.dropped++
-			continue
-		}
-		r.counts[k]++
-		ops.MemAccesses++
-	}
-	r.ops = r.ops.Add(ops)
+	ops.MemAccesses++
 }
 
 // EstimateSize returns the sampled count scaled by the sampling rate, the

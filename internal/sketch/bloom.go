@@ -15,7 +15,6 @@ type Bloom struct {
 	words   []uint64
 	k       int
 	family  *hashing.Family
-	touched uint64
 }
 
 // NewBloom builds a filter with nbits bits and k hash functions.
@@ -44,7 +43,6 @@ func (b *Bloom) MemoryBytes() int { return len(b.words) * 8 }
 func (b *Bloom) Contains(w1, w2 uint64) bool {
 	for i := 0; i < b.k; i++ {
 		pos := b.family.Bucket(i, w1, w2, b.bitsLen)
-		b.touched++
 		if b.words[pos>>6]&(1<<(pos&63)) == 0 {
 			return false
 		}
@@ -52,25 +50,14 @@ func (b *Bloom) Contains(w1, w2 uint64) bool {
 	return true
 }
 
-// Add inserts the key.
-func (b *Bloom) Add(w1, w2 uint64) {
-	for i := 0; i < b.k; i++ {
-		pos := b.family.Bucket(i, w1, w2, b.bitsLen)
-		b.touched++
-		b.words[pos>>6] |= 1 << (pos & 63)
-	}
-}
-
 // AddIfMissing inserts the key and reports whether any of its bits were
-// previously unset, i.e. whether Contains would have returned false. It
-// probes the filter once, where a Contains-then-Add sequence hashes the key
-// twice; batched callers use it to halve per-packet Bloom hashing. The
-// resulting filter state is identical to Contains followed by Add.
+// previously unset, i.e. whether Contains would have returned false. Each
+// of the k hashes both tests and sets its bit, so the membership test and
+// the insert cost one probe of the filter.
 func (b *Bloom) AddIfMissing(w1, w2 uint64) bool {
 	missing := false
 	for i := 0; i < b.k; i++ {
 		pos := b.family.Bucket(i, w1, w2, b.bitsLen)
-		b.touched++
 		word, bit := pos>>6, uint64(1)<<(pos&63)
 		if b.words[word]&bit == 0 {
 			missing = true
@@ -104,13 +91,9 @@ func (b *Bloom) EstimateCardinality() float64 {
 	return -(m / float64(b.k)) * math.Log(1-x/m)
 }
 
-// Touched returns the cumulative number of bit accesses.
-func (b *Bloom) Touched() uint64 { return b.touched }
-
 // Reset clears the filter.
 func (b *Bloom) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-	b.touched = 0
 }

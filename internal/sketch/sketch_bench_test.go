@@ -58,8 +58,6 @@ func BenchmarkBloomAddContains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i&1023]
-		if !bl.Contains(k[0], k[1]) {
-			bl.Add(k[0], k[1])
-		}
+		bl.AddIfMissing(k[0], k[1])
 	}
 }

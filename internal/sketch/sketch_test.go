@@ -161,11 +161,14 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	inserted := make([]pair, 1000)
 	for i := range inserted {
 		inserted[i] = pair{rng.Uint64(), rng.Uint64()}
-		b.Add(inserted[i].w1, inserted[i].w2)
+		b.AddIfMissing(inserted[i].w1, inserted[i].w2)
 	}
 	for _, p := range inserted {
 		if !b.Contains(p.w1, p.w2) {
 			t.Fatalf("false negative for %v", p)
+		}
+		if b.AddIfMissing(p.w1, p.w2) {
+			t.Fatalf("re-adding %v reported it missing", p)
 		}
 	}
 }
@@ -179,7 +182,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < n; i++ {
-		b.Add(rng.Uint64(), rng.Uint64())
+		b.AddIfMissing(rng.Uint64(), rng.Uint64())
 	}
 	fp := 0
 	const probes = 10000
@@ -201,7 +204,7 @@ func TestBloomCardinality(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(7, 8))
 	for i := 0; i < n; i++ {
-		b.Add(rng.Uint64(), rng.Uint64())
+		b.AddIfMissing(rng.Uint64(), rng.Uint64())
 	}
 	est := b.EstimateCardinality()
 	if math.Abs(est/n-1) > 0.1 {
@@ -216,7 +219,7 @@ func TestBloomSaturated(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(11, 11))
 	for i := 0; i < 10000; i++ {
-		b.Add(rng.Uint64(), rng.Uint64())
+		b.AddIfMissing(rng.Uint64(), rng.Uint64())
 	}
 	if est := b.EstimateCardinality(); math.IsInf(est, 0) || math.IsNaN(est) {
 		t.Errorf("saturated estimator returned %v", est)
@@ -228,7 +231,7 @@ func TestBloomReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Add(1, 2)
+	b.AddIfMissing(1, 2)
 	b.Reset()
 	if b.SetBits() != 0 {
 		t.Error("Reset left bits set")

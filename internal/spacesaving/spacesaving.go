@@ -64,20 +64,33 @@ func New(cfg Config) (*Summary, error) {
 func (s *Summary) Capacity() int { return s.capacity }
 
 // Update processes one packet.
-func (s *Summary) Update(p flow.Packet) {
-	s.ops.Packets++
-	s.ops.MemAccesses++
+func (s *Summary) Update(p flow.Packet) { s.update(&p, &s.ops) }
+
+// UpdateBatch processes pkts in order, exactly as repeated Update calls,
+// adding the operation counts to the recorder's total once per batch.
+func (s *Summary) UpdateBatch(pkts []flow.Packet) {
+	var ops flow.OpStats
+	for i := range pkts {
+		s.update(&pkts[i], &ops)
+	}
+	s.ops = s.ops.Add(ops)
+}
+
+// update processes one packet, counting operations in ops.
+func (s *Summary) update(p *flow.Packet, ops *flow.OpStats) {
+	ops.Packets++
+	ops.MemAccesses++
 	if e, ok := s.entries[p.Key]; ok {
 		e.count++
 		heap.Fix(&s.h, e.idx)
-		s.ops.MemAccesses++
+		ops.MemAccesses++
 		return
 	}
 	if len(s.entries) < s.capacity {
 		e := &entry{key: p.Key, count: 1}
 		s.entries[p.Key] = e
 		heap.Push(&s.h, e)
-		s.ops.MemAccesses++
+		ops.MemAccesses++
 		return
 	}
 	// Replace the minimum entry; the newcomer inherits its count as error.
@@ -87,40 +100,7 @@ func (s *Summary) Update(p flow.Packet) {
 	s.entries[p.Key] = newEntry
 	s.h[0] = newEntry
 	heap.Fix(&s.h, 0)
-	s.ops.MemAccesses += 2
-}
-
-// UpdateBatch processes pkts in order with the same semantics as repeated
-// Update calls. Space-Saving is map- and heap-bound, so the only batchable
-// overhead is the statistics bookkeeping, flushed once per batch.
-func (s *Summary) UpdateBatch(pkts []flow.Packet) {
-	var ops flow.OpStats
-	for pi := range pkts {
-		k := pkts[pi].Key
-		ops.Packets++
-		ops.MemAccesses++
-		if e, ok := s.entries[k]; ok {
-			e.count++
-			heap.Fix(&s.h, e.idx)
-			ops.MemAccesses++
-			continue
-		}
-		if len(s.entries) < s.capacity {
-			e := &entry{key: k, count: 1}
-			s.entries[k] = e
-			heap.Push(&s.h, e)
-			ops.MemAccesses++
-			continue
-		}
-		min := s.h[0]
-		delete(s.entries, min.key)
-		newEntry := &entry{key: k, count: min.count + 1, err: min.count, idx: 0}
-		s.entries[k] = newEntry
-		s.h[0] = newEntry
-		heap.Fix(&s.h, 0)
-		ops.MemAccesses += 2
-	}
-	s.ops = s.ops.Add(ops)
+	ops.MemAccesses += 2
 }
 
 // EstimateSize returns the (over)estimated count of a tracked flow, 0 if
