@@ -169,30 +169,6 @@ func TestMergeSortedAllocFree(t *testing.T) {
 	}
 }
 
-// TestHeavyHittersAppendAllocFree pins the filter-in-place heavy-hitter
-// query with a reused destination buffer.
-func TestHeavyHittersAppendAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated by the race detector")
-	}
-	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
-		flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRecorder(t, rec, benchFlows)
-	var buf []flow.Record
-	buf = flowmon.HeavyHittersAppend(buf[:0], rec, 10)
-	if len(buf) == 0 {
-		t.Fatal("no heavy hitters")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf = flowmon.HeavyHittersAppend(buf[:0], rec, 10)
-	}); allocs != 0 {
-		t.Errorf("HeavyHittersAppend allocates %.0f times per query, want 0", allocs)
-	}
-}
-
 // TestReadEpochAppendAllocFree pins allocation-free replay: decoding an
 // epoch into a reused buffer must not allocate once the buffer has grown.
 func TestReadEpochAppendAllocFree(t *testing.T) {

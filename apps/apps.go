@@ -1,9 +1,8 @@
 // Package apps implements the traffic-analysis applications that motivate
 // flow record collection in the paper's introduction: top-talker ranking,
-// heavy-hitter reporting, DDoS victim detection, port-scan detection and
-// prefix-level traffic matrices. Every application consumes plain
-// []flow.Record, so it runs identically on exact NetFlow records and on the
-// approximate records any flowmon.Recorder reports.
+// DDoS victim detection and port-scan detection. Every application
+// consumes plain []flow.Record, so it runs identically on exact NetFlow
+// records and on the approximate records any flowmon.Recorder reports.
 package apps
 
 import (
@@ -26,24 +25,6 @@ func TopTalkers(records []flow.Record, k int) []flow.Record {
 	if k < len(out) {
 		out = out[:k]
 	}
-	return out
-}
-
-// HeavyHitters returns all flows with at least threshold packets,
-// descending by count.
-func HeavyHitters(records []flow.Record, threshold uint32) []flow.Record {
-	var out []flow.Record
-	for _, r := range records {
-		if r.Count >= threshold {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return lessKey(out[i].Key, out[j].Key)
-	})
 	return out
 }
 
@@ -121,56 +102,6 @@ func PortScanners(records []flow.Record, minTargets int) []Scanner {
 			return out[i].Targets > out[j].Targets
 		}
 		return out[i].SrcIP < out[j].SrcIP
-	})
-	return out
-}
-
-// MatrixCell is one prefix-pair entry of a traffic matrix.
-type MatrixCell struct {
-	SrcPrefix uint32 // network-order prefix, host bits zeroed
-	DstPrefix uint32
-	Packets   uint64
-	Flows     int
-}
-
-// TrafficMatrix aggregates flow records into source-prefix x dest-prefix
-// cells at the given prefix length (0..32), descending by packets. Traffic
-// engineering consumes exactly this view.
-func TrafficMatrix(records []flow.Record, prefixLen int) []MatrixCell {
-	if prefixLen < 0 {
-		prefixLen = 0
-	}
-	if prefixLen > 32 {
-		prefixLen = 32
-	}
-	var mask uint32
-	if prefixLen > 0 {
-		mask = ^uint32(0) << (32 - prefixLen)
-	}
-	type pair struct{ src, dst uint32 }
-	cells := make(map[pair]*MatrixCell)
-	for _, r := range records {
-		p := pair{src: r.Key.SrcIP & mask, dst: r.Key.DstIP & mask}
-		c := cells[p]
-		if c == nil {
-			c = &MatrixCell{SrcPrefix: p.src, DstPrefix: p.dst}
-			cells[p] = c
-		}
-		c.Packets += uint64(r.Count)
-		c.Flows++
-	}
-	out := make([]MatrixCell, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Packets != out[j].Packets {
-			return out[i].Packets > out[j].Packets
-		}
-		if out[i].SrcPrefix != out[j].SrcPrefix {
-			return out[i].SrcPrefix < out[j].SrcPrefix
-		}
-		return out[i].DstPrefix < out[j].DstPrefix
 	})
 	return out
 }

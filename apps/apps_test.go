@@ -40,17 +40,6 @@ func TestTopTalkersDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestHeavyHitters(t *testing.T) {
-	records := []flow.Record{rec(1, 1, 1, 100), rec(2, 1, 1, 10), rec(3, 1, 1, 55)}
-	hh := HeavyHitters(records, 50)
-	if len(hh) != 2 || hh[0].Count != 100 || hh[1].Count != 55 {
-		t.Errorf("HeavyHitters = %v", hh)
-	}
-	if got := HeavyHitters(records, 1000); len(got) != 0 {
-		t.Errorf("HeavyHitters above max = %v", got)
-	}
-}
-
 func TestDDoSVictims(t *testing.T) {
 	var records []flow.Record
 	// 10 sources hit dst 99; 2 sources hit dst 5.
@@ -112,55 +101,14 @@ func TestPortScannersDistinctTargets(t *testing.T) {
 	}
 }
 
-func TestTrafficMatrix(t *testing.T) {
-	records := []flow.Record{
-		rec(0x0A000001, 0x14000001, 80, 10), // 10.0.0.1 -> 20.0.0.1
-		rec(0x0A000002, 0x14000002, 81, 20), // 10.0.0.2 -> 20.0.0.2 (same /8 pair)
-		rec(0x0B000001, 0x14000001, 80, 5),  // 11.0.0.1 -> 20.0.0.1
-	}
-	cells := TrafficMatrix(records, 8)
-	if len(cells) != 2 {
-		t.Fatalf("cells = %v", cells)
-	}
-	top := cells[0]
-	if top.SrcPrefix != 0x0A000000 || top.DstPrefix != 0x14000000 {
-		t.Errorf("top cell prefixes = %x -> %x", top.SrcPrefix, top.DstPrefix)
-	}
-	if top.Packets != 30 || top.Flows != 2 {
-		t.Errorf("top cell = %+v", top)
-	}
-}
-
-func TestTrafficMatrixPrefixLenBounds(t *testing.T) {
-	records := []flow.Record{rec(1, 2, 80, 1), rec(3, 4, 80, 1)}
-	// prefixLen 0 aggregates everything into one cell.
-	if got := TrafficMatrix(records, 0); len(got) != 1 || got[0].Flows != 2 {
-		t.Errorf("prefixLen 0: %v", got)
-	}
-	// prefixLen > 32 behaves as 32 (exact hosts).
-	if got := TrafficMatrix(records, 64); len(got) != 2 {
-		t.Errorf("prefixLen 64: %v", got)
-	}
-	// Negative behaves as 0.
-	if got := TrafficMatrix(records, -3); len(got) != 1 {
-		t.Errorf("prefixLen -3: %v", got)
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	if got := TopTalkers(nil, 5); len(got) != 0 {
 		t.Error("TopTalkers(nil) not empty")
-	}
-	if got := HeavyHitters(nil, 1); len(got) != 0 {
-		t.Error("HeavyHitters(nil) not empty")
 	}
 	if got := DDoSVictims(nil, 1); len(got) != 0 {
 		t.Error("DDoSVictims(nil) not empty")
 	}
 	if got := PortScanners(nil, 1); len(got) != 0 {
 		t.Error("PortScanners(nil) not empty")
-	}
-	if got := TrafficMatrix(nil, 8); len(got) != 0 {
-		t.Error("TrafficMatrix(nil) not empty")
 	}
 }

@@ -30,13 +30,3 @@ func ExampleTopTalkers() {
 	fmt.Println(top[0].Count, top[1].Count)
 	// Output: 99 10
 }
-
-func ExampleTrafficMatrix() {
-	records := []flow.Record{
-		{Key: flow.Key{SrcIP: 0x0A000001, DstIP: 0x14000001}, Count: 10},
-		{Key: flow.Key{SrcIP: 0x0A000105, DstIP: 0x14000207}, Count: 30},
-	}
-	cells := apps.TrafficMatrix(records, 8)
-	fmt.Println(len(cells), cells[0].Packets)
-	// Output: 1 40
-}

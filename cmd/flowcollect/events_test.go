@@ -169,6 +169,28 @@ waitAlert:
 	if lat := time.Since(spiked); lat > 2*time.Second {
 		t.Errorf("alert latency %v", lat)
 	}
+
+	// The alert is published during the detect stage; the epoch's trace is
+	// recorded when its span ends, just before the epoch frame goes out.
+	// Wait for that frame before reading /trace/epochs.
+waitEpoch:
+	for {
+		select {
+		case f := <-frames:
+			if f.event != "epoch" {
+				continue
+			}
+			var ev events.Event
+			if err := json.Unmarshal([]byte(f.data), &ev); err != nil {
+				t.Fatalf("epoch frame not JSON: %v (%q)", err, f.data)
+			}
+			if ev.Epoch == alertEv.Epoch {
+				break waitEpoch
+			}
+		case <-deadline:
+			t.Fatalf("no epoch frame for alert epoch %d within 2s of the spike", alertEv.Epoch)
+		}
+	}
 	if alertEv.Kind != events.KindAlert || alertEv.Vantage != "live" {
 		t.Errorf("alert event: %+v", alertEv)
 	}

@@ -107,10 +107,12 @@ func TestReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(batched.Close)
 	sequential, err := shard.NewUniform(4, flowmon.AlgorithmHashFlow, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sequential.Close)
 
 	if err := Replay(batched, pkts, 128); err != nil {
 		t.Fatal(err)

@@ -79,25 +79,6 @@ func (t *Truth) TopK(k int) []Record {
 	return recs
 }
 
-// MaxCount returns the size of the largest flow (0 when empty).
-func (t *Truth) MaxCount() uint32 {
-	var m uint32
-	for _, c := range t.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// MeanCount returns the average flow size (0 when empty).
-func (t *Truth) MeanCount() float64 {
-	if len(t.counts) == 0 {
-		return 0
-	}
-	return float64(t.pkts) / float64(len(t.counts))
-}
-
 func lessKey(a, b Key) bool {
 	switch {
 	case a.SrcIP != b.SrcIP:

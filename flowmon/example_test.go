@@ -47,21 +47,3 @@ func Example_comparison() {
 	// ElasticSketch: 1
 	// FlowRadar: 1
 }
-
-func ExampleHeavyHitters() {
-	rec, err := flowmon.New(flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 64 << 10})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	elephant := flow.Key{SrcIP: 1, Proto: 6}
-	mouse := flow.Key{SrcIP: 2, Proto: 6}
-	for i := 0; i < 100; i++ {
-		rec.Update(flow.Packet{Key: elephant})
-	}
-	rec.Update(flow.Packet{Key: mouse})
-
-	hh := flowmon.HeavyHitters(rec, 50)
-	fmt.Println(len(hh), hh[0].Count)
-	// Output: 1 100
-}

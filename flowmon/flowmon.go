@@ -1,8 +1,10 @@
 // Package flowmon is the public facade of the flow-record collection
 // library. It exposes the four measurement algorithms evaluated in the
 // HashFlow paper — HashFlow itself plus the HashPipe, ElasticSketch and
-// FlowRadar baselines — behind a single Recorder interface, configured with
-// an equal memory budget exactly as in the paper's evaluation.
+// FlowRadar baselines — and three extra comparators behind a single
+// Recorder interface, configured with an equal memory budget exactly as in
+// the paper's evaluation. New builds any of them; NewHashFlow returns
+// HashFlow's concrete type for its table accessors.
 //
 // Typical use:
 //
@@ -248,41 +250,4 @@ func NewHashFlow(cfg Config) (*core.HashFlow, error) {
 		DisablePromotion: cfg.DisablePromotion,
 		Seed:             cfg.Seed,
 	})
-}
-
-// NewFlowRadar constructs a FlowRadar recorder and returns the concrete
-// type, exposing FlowRadar-specific capabilities: decode-completeness
-// reporting and network-wide decoding with hints from other switches
-// (DecodeWithHints).
-func NewFlowRadar(cfg Config) (*flowradar.FlowRadar, error) {
-	return flowradar.New(flowradar.Config{
-		MemoryBytes:      cfg.MemoryBytes,
-		BloomHashes:      cfg.BloomHashes,
-		CellHashes:       cfg.CellHashes,
-		BloomBitsPerCell: cfg.BloomBitsPerCell,
-		Seed:             cfg.Seed,
-	})
-}
-
-// HeavyHitters reports the flows whose estimated size meets the threshold,
-// derived from the recorder's reported records.
-func HeavyHitters(r Recorder, threshold uint32) []flow.Record {
-	return HeavyHittersAppend(nil, r, threshold)
-}
-
-// HeavyHittersAppend appends the flows whose estimated size meets the
-// threshold to dst and returns the extended slice. The recorder's records
-// are extracted through AppendRecords into dst's spare capacity and
-// filtered in place, so a reused dst makes repeated heavy-hitter queries
-// allocation-free.
-func HeavyHittersAppend(dst []flow.Record, r Recorder, threshold uint32) []flow.Record {
-	start := len(dst)
-	dst = r.AppendRecords(dst)
-	keep := dst[:start]
-	for _, rec := range dst[start:] {
-		if rec.Count >= threshold {
-			keep = append(keep, rec)
-		}
-	}
-	return keep
 }

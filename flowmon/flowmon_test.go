@@ -82,23 +82,6 @@ func TestNewHashFlowConcrete(t *testing.T) {
 	}
 }
 
-func TestHeavyHittersHelper(t *testing.T) {
-	rec, err := New(AlgorithmHashFlow, Config{MemoryBytes: 1 << 16, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := flow.Key{SrcIP: 1, Proto: 6}
-	small := flow.Key{SrcIP: 2, Proto: 6}
-	for i := 0; i < 100; i++ {
-		rec.Update(flow.Packet{Key: big})
-	}
-	rec.Update(flow.Packet{Key: small})
-	hh := HeavyHitters(rec, 50)
-	if len(hh) != 1 || hh[0].Key != big {
-		t.Errorf("HeavyHitters = %v, want only the big flow", hh)
-	}
-}
-
 // TestPaperHeadlineShape replays the paper's central comparison at reduced
 // scale: with a fixed memory budget and an offered load far beyond capacity,
 // HashFlow must (a) fill nearly its whole main table with accurate records,

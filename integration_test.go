@@ -112,106 +112,6 @@ func TestPipelinePcapToCollector(t *testing.T) {
 	}
 }
 
-// TestPipelineIPFIX repeats the export hop with the IPFIX codec.
-func TestPipelineIPFIX(t *testing.T) {
-	tr, err := trace.Generate(trace.ISP2, 2000, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := flowmon.New(flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 128 << 10, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := tr.Stream(23)
-	for {
-		p, ok := st.Next()
-		if !ok {
-			break
-		}
-		rec.Update(p)
-	}
-
-	records := rec.Records()
-	ipfixRecs := make([]netflow.IPFIXRecord, 0, len(records))
-	for _, r := range records {
-		ipfixRecs = append(ipfixRecs, netflow.IPFIXRecord{Key: r.Key, Packets: uint64(r.Count)})
-	}
-
-	var wire [][]byte
-	exp := netflow.NewIPFIXExporter(func(b []byte) error {
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		wire = append(wire, cp)
-		return nil
-	}, 99)
-	if err := exp.Export(ipfixRecs); err != nil {
-		t.Fatal(err)
-	}
-
-	dec := netflow.NewIPFIXDecoder()
-	var got []netflow.IPFIXRecord
-	for _, m := range wire {
-		rs, err := dec.Decode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rs...)
-	}
-	if len(got) != len(ipfixRecs) {
-		t.Fatalf("IPFIX round trip: %d records, want %d", len(got), len(ipfixRecs))
-	}
-	for i := range got {
-		if got[i] != ipfixRecs[i] {
-			t.Fatalf("IPFIX record %d mismatch", i)
-		}
-	}
-}
-
-// TestNetworkWideFlowRadarDecode replays the FlowRadar paper's NetDecode
-// deployment: a small edge switch over its standalone decode capacity is
-// rescued by the records a better-provisioned core switch on the same path
-// decoded, then both views merge into one network-wide record set.
-func TestNetworkWideFlowRadarDecode(t *testing.T) {
-	edge, err := flowmon.NewFlowRadar(flowmon.Config{MemoryBytes: 26 * 1024, Seed: 51})
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := flowmon.NewFlowRadar(flowmon.Config{MemoryBytes: 26 * 16384, Seed: 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := trace.Generate(trace.ISP1, 3000, 53) // ~3x edge capacity
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := tr.Truth()
-	for _, p := range tr.Packets(53) {
-		edge.Update(p)
-		core.Update(p)
-	}
-
-	if solo := len(edge.Records()); solo > truth.Flows()/2 {
-		t.Fatalf("edge decoded %d flows standalone; overload assumption broken", solo)
-	}
-	rescued, ok := edge.DecodeWithHints(core.Records())
-	if !ok {
-		t.Fatal("NetDecode with core hints did not complete")
-	}
-	merged := netwide.MergeMax(
-		netwide.View{Name: "edge", Records: rescued},
-		netwide.View{Name: "core", Records: core.Records()},
-	)
-	if len(merged) != truth.Flows() {
-		t.Fatalf("merged view has %d flows, want %d", len(merged), truth.Flows())
-	}
-	for _, r := range merged {
-		if truth.Count(r.Key) != r.Count {
-			t.Fatalf("merged flow %v count %d, want %d", r.Key, r.Count, truth.Count(r.Key))
-		}
-	}
-}
-
 // TestPipelineShardedAdaptiveNetwide composes the extension layers: a
 // sharded HashFlow pair under the double-buffered adaptive epoch manager,
 // with the watermark driving rotation end to end and the epochs merged

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/flow"
 )
@@ -55,54 +54,6 @@ func CardinalityRE(estimated float64, truth *flow.Truth) float64 {
 		return 0
 	}
 	return math.Abs(estimated/float64(n) - 1)
-}
-
-// TopKAccuracy returns the fraction of the true top-k flows (by exact
-// count) that appear among the reported top-k (by reported count) — a
-// ranking-quality metric complementary to the threshold-based heavy hitter
-// score.
-func TopKAccuracy(reported []flow.Record, truth *flow.Truth, k int) float64 {
-	if k <= 0 || truth.Flows() == 0 {
-		return 0
-	}
-	real := truth.TopK(k)
-	realSet := make(map[flow.Key]struct{}, len(real))
-	for _, r := range real {
-		realSet[r.Key] = struct{}{}
-	}
-
-	// Dedupe reported keys keeping the largest claim, then rank.
-	best := make(map[flow.Key]uint32, len(reported))
-	for _, r := range reported {
-		if c, ok := best[r.Key]; !ok || r.Count > c {
-			best[r.Key] = r.Count
-		}
-	}
-	ranked := make([]flow.Record, 0, len(best))
-	for key, c := range best {
-		ranked = append(ranked, flow.Record{Key: key, Count: c})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Count != ranked[j].Count {
-			return ranked[i].Count > ranked[j].Count
-		}
-		wa, wb := ranked[i].Key.Words()
-		wc, wd := ranked[j].Key.Words()
-		if wa != wc {
-			return wa < wc
-		}
-		return wb < wd
-	})
-	if k < len(ranked) {
-		ranked = ranked[:k]
-	}
-	hit := 0
-	for _, r := range ranked {
-		if _, ok := realSet[r.Key]; ok {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(real))
 }
 
 // HHReport scores heavy hitter detection.

@@ -179,41 +179,3 @@ func TestHeavyHitters(t *testing.T) {
 		}
 	})
 }
-
-func TestTopKAccuracy(t *testing.T) {
-	truth := buildTruth(map[flow.Key]uint32{k1: 100, k2: 50, k3: 10, k4: 1})
-	tests := []struct {
-		name     string
-		reported []flow.Record
-		k        int
-		want     float64
-	}{
-		{"perfect", []flow.Record{{Key: k1, Count: 100}, {Key: k2, Count: 50}}, 2, 1.0},
-		{"half", []flow.Record{{Key: k1, Count: 100}, {Key: k3, Count: 60}}, 2, 0.5},
-		{"order within top-k irrelevant", []flow.Record{{Key: k2, Count: 99}, {Key: k1, Count: 98}}, 2, 1.0},
-		{"missing report", []flow.Record{{Key: k1, Count: 100}}, 2, 0.5},
-		{"zero k", nil, 0, 0},
-		{"duplicates keep largest", []flow.Record{{Key: k1, Count: 1}, {Key: k1, Count: 100}, {Key: k2, Count: 50}}, 2, 1.0},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := TopKAccuracy(tc.reported, truth, tc.k); math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("TopKAccuracy = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestTopKAccuracyKBeyondPopulation(t *testing.T) {
-	truth := buildTruth(map[flow.Key]uint32{k1: 10, k2: 5})
-	got := TopKAccuracy([]flow.Record{{Key: k1, Count: 10}, {Key: k2, Count: 5}}, truth, 10)
-	if got != 1.0 {
-		t.Errorf("TopKAccuracy with k > flows = %v, want 1", got)
-	}
-}
-
-func TestTopKAccuracyEmptyTruth(t *testing.T) {
-	if got := TopKAccuracy([]flow.Record{{Key: k1, Count: 1}}, flow.NewTruth(0), 3); got != 0 {
-		t.Errorf("TopKAccuracy with empty truth = %v, want 0", got)
-	}
-}

@@ -63,39 +63,6 @@ func FuzzDecodeAppend(f *testing.F) {
 	})
 }
 
-func FuzzDecodeIPFIX(f *testing.F) {
-	tmpl := EncodeIPFIXTemplate(nil, 1, 2, 3)
-	data, err := EncodeIPFIXData(nil, []IPFIXRecord{{Packets: 9}}, 1, 2, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tmpl)
-	f.Add(data)
-	f.Add(append(append([]byte{}, tmpl...), data...))
-	f.Fuzz(func(t *testing.T, msg []byte) {
-		d := NewIPFIXDecoder()
-		_, _ = d.Decode(msg) // must not panic
-		// A second message against the (possibly poisoned) template cache
-		// must not panic either.
-		_, _ = d.Decode(msg)
-	})
-}
-
-func FuzzDecodeV9(f *testing.F) {
-	tmpl := EncodeV9Template(nil, 1, 2, 3, 4)
-	data, err := EncodeV9Data(nil, []IPFIXRecord{{Octets: 7}}, 1, 2, 3, 4)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tmpl)
-	f.Add(data)
-	f.Fuzz(func(t *testing.T, msg []byte) {
-		d := NewV9Decoder()
-		_, _ = d.Decode(msg)
-		_, _ = d.Decode(msg)
-	})
-}
-
 func FuzzCollectorIngest(f *testing.F) {
 	seed, err := Encode(nil, Header{}, []Record{{SrcIP: 5}})
 	if err != nil {

@@ -61,27 +61,3 @@ func BenchmarkDecodeAppendV5(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDecodeIPFIXData(b *testing.B) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	recs := make([]IPFIXRecord, 200)
-	for i := range recs {
-		recs[i] = randIPFIXRecord(rng)
-	}
-	tmpl := EncodeIPFIXTemplate(nil, 0, 0, 1)
-	data, err := EncodeIPFIXData(nil, recs, 0, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := NewIPFIXDecoder()
-	if _, err := d.Decode(tmpl); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

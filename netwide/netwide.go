@@ -322,30 +322,3 @@ func SortByKey(recs []flow.Record) {
 		return flow.CompareKeys(a.Key, b.Key)
 	})
 }
-
-// Coverage reports how many distinct flows each view contributed that no
-// other view saw, keyed by view name — a quick measure of vantage-point
-// placement value.
-func Coverage(views ...View) map[string]int {
-	owner := make(map[flow.Key]string)
-	dup := make(map[flow.Key]bool)
-	for _, v := range views {
-		for _, r := range v.Records {
-			if prev, ok := owner[r.Key]; ok && prev != v.Name {
-				dup[r.Key] = true
-				continue
-			}
-			owner[r.Key] = v.Name
-		}
-	}
-	out := make(map[string]int, len(views))
-	for _, v := range views {
-		out[v.Name] = 0
-	}
-	for k, name := range owner {
-		if !dup[k] {
-			out[name]++
-		}
-	}
-	return out
-}

@@ -63,26 +63,3 @@ func TestMergeEmpty(t *testing.T) {
 		t.Errorf("MergeSum(empty view) = %v, want empty", got)
 	}
 }
-
-func TestCoverage(t *testing.T) {
-	cov := Coverage(
-		View{Name: "s1", Records: []flow.Record{{Key: ka, Count: 1}, {Key: kb, Count: 1}}},
-		View{Name: "s2", Records: []flow.Record{{Key: ka, Count: 1}, {Key: kc, Count: 1}}},
-	)
-	if cov["s1"] != 1 { // kb unique to s1
-		t.Errorf("s1 coverage = %d, want 1", cov["s1"])
-	}
-	if cov["s2"] != 1 { // kc unique to s2
-		t.Errorf("s2 coverage = %d, want 1", cov["s2"])
-	}
-}
-
-func TestCoverageAllShared(t *testing.T) {
-	cov := Coverage(
-		View{Name: "s1", Records: []flow.Record{{Key: ka, Count: 1}}},
-		View{Name: "s2", Records: []flow.Record{{Key: ka, Count: 2}}},
-	)
-	if cov["s1"] != 0 || cov["s2"] != 0 {
-		t.Errorf("shared flow counted as unique: %v", cov)
-	}
-}

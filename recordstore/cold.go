@@ -612,22 +612,6 @@ func (s *Segment) EpochInfo(i int) EpochInfo {
 	}
 }
 
-// FirstNanos / LastNanos bound the segment's epoch timestamps; zero for
-// an empty segment.
-func (s *Segment) FirstNanos() int64 {
-	if len(s.metas) == 0 {
-		return 0
-	}
-	return s.metas[0].nanos
-}
-
-func (s *Segment) LastNanos() int64 {
-	if len(s.metas) == 0 {
-		return 0
-	}
-	return s.metas[len(s.metas)-1].nanos
-}
-
 // AppendEpochAt decodes epoch i with its records appended to dst. The
 // records are exactly the ones the hot-tier decoder yields for the same
 // epoch (cold segments) or the rollup's retained top-k (rollup segments),

@@ -140,6 +140,16 @@ func readManifest(dir string) (manifest, error) {
 	if m.Version != manifestVersion {
 		return m, fmt.Errorf("recordstore: unsupported manifest version %d", m.Version)
 	}
+	// Entries are joined to dir, opened and, on rollup, deleted: a name
+	// that is not a bare segment file name would reach outside the store.
+	// The patterns are constant, so Match cannot fail.
+	for _, s := range m.Segments {
+		cold, _ := filepath.Match("seg-*"+coldSegExt, s.File)
+		rollup, _ := filepath.Match("seg-*"+rollupSegExt, s.File)
+		if !cold && !rollup || s.Epochs < 0 || s.FromNanos > s.ToNanos {
+			return m, fmt.Errorf("recordstore: corrupt manifest: bad segment entry %+v", s)
+		}
+	}
 	return m, nil
 }
 

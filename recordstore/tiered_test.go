@@ -463,6 +463,68 @@ func TestTieredRecoverTailComposition(t *testing.T) {
 	checkTiered(t, dir, 6).Close()
 }
 
+// TestTieredManifestRejectsBadEntries: a corrupt manifest must not make
+// the store open, serve or delete a file outside its directory, nor
+// accept an entry whose counts or time bounds cannot describe a segment.
+func TestTieredManifestRejectsBadEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(e *segmentEntry)
+	}{
+		{"parent dir", func(e *segmentEntry) { e.File = "../" + e.File }},
+		{"not a segment", func(e *segmentEntry) { e.File = hotFileName }},
+		{"negative epochs", func(e *segmentEntry) { e.Epochs = -1 }},
+		{"inverted bounds", func(e *segmentEntry) { e.FromNanos = e.ToNanos + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := t.TempDir()
+			dir := filepath.Join(base, "store")
+			tw, _, err := OpenTiered(dir, TieredOptions{HotEpochs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillTiered(t, tw, 0, 10)
+			if _, err := tw.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			man, err := readManifest(dir)
+			if err != nil || len(man.Segments) != 1 {
+				t.Fatalf("manifest %+v, %v", man, err)
+			}
+			// A copy of the valid segment outside the store, where "../"
+			// points.
+			seg, err := os.ReadFile(filepath.Join(dir, man.Segments[0].File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			outside := filepath.Join(base, man.Segments[0].File)
+			if err := os.WriteFile(outside, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&man.Segments[0])
+			if err := writeManifest(dir, man); err != nil {
+				t.Fatal(err)
+			}
+
+			if src, err := OpenTieredSource(dir); err == nil {
+				src.Close()
+				t.Fatalf("read-only open accepted entry %+v", man.Segments[0])
+			}
+			if tw, _, err := OpenTiered(dir, TieredOptions{HotEpochs: 4, Retain: time.Minute}); err == nil {
+				tw.Compact()
+				tw.Close()
+				t.Fatalf("read-write open accepted entry %+v", man.Segments[0])
+			}
+			if _, err := os.Stat(outside); err != nil {
+				t.Fatalf("file outside the store: %v", err)
+			}
+		})
+	}
+}
+
 // TestTieredCompactionDuringQueryRace runs writers, the automatic
 // compactor, retention and concurrent read-only opens together under
 // the race detector: readers must always see a consistent store and the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/flow"
 	"repro/internal/fenwick"
@@ -119,34 +118,6 @@ func randomKey(rng *rand.Rand) flow.Key {
 		DstPort: uint16(rng.Uint32()),
 		Proto:   proto,
 	}
-}
-
-// FromPackets reconstructs a Trace (exact flow population) from an observed
-// packet stream, e.g. one read back from a pcap file. The resulting trace
-// carries the given profile only as a label.
-func FromPackets(p Profile, pkts []flow.Packet) *Trace {
-	counts := make(map[flow.Key]uint32)
-	for _, pk := range pkts {
-		counts[pk.Key]++
-	}
-	t := &Trace{Profile: p, Flows: make([]flow.Record, 0, len(counts))}
-	for k, c := range counts {
-		t.Flows = append(t.Flows, flow.Record{Key: k, Count: c})
-		t.totalPkts += uint64(c)
-	}
-	// Keep the descending-size invariant Generate establishes.
-	sort.Slice(t.Flows, func(i, j int) bool {
-		if t.Flows[i].Count != t.Flows[j].Count {
-			return t.Flows[i].Count > t.Flows[j].Count
-		}
-		a, b := t.Flows[i].Key.Words()
-		c2, d := t.Flows[j].Key.Words()
-		if a != c2 {
-			return a < c2
-		}
-		return b < d
-	})
-	return t
 }
 
 // FlowCount returns the number of flows in the trace.

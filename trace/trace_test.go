@@ -211,37 +211,3 @@ func TestStatsEmpty(t *testing.T) {
 		t.Error("empty trace CDF not nil")
 	}
 }
-
-func TestFromPackets(t *testing.T) {
-	orig := mustGenerate(t, ISP1, 300, 29)
-	rebuilt := FromPackets(ISP1, orig.Packets(29))
-	if rebuilt.FlowCount() != orig.FlowCount() {
-		t.Fatalf("rebuilt %d flows, want %d", rebuilt.FlowCount(), orig.FlowCount())
-	}
-	if rebuilt.PacketCount() != orig.PacketCount() {
-		t.Fatalf("rebuilt %d packets, want %d", rebuilt.PacketCount(), orig.PacketCount())
-	}
-	// Descending-size invariant holds.
-	for i := 1; i < len(rebuilt.Flows); i++ {
-		if rebuilt.Flows[i].Count > rebuilt.Flows[i-1].Count {
-			t.Fatalf("rebuilt flows not descending at %d", i)
-		}
-	}
-	// Per-flow counts survive the round trip.
-	want := make(map[flow.Key]uint32, len(orig.Flows))
-	for _, f := range orig.Flows {
-		want[f.Key] = f.Count
-	}
-	for _, f := range rebuilt.Flows {
-		if want[f.Key] != f.Count {
-			t.Errorf("flow %v rebuilt count %d, want %d", f.Key, f.Count, want[f.Key])
-		}
-	}
-}
-
-func TestFromPacketsEmpty(t *testing.T) {
-	tr := FromPackets(CAIDA, nil)
-	if tr.FlowCount() != 0 || tr.PacketCount() != 0 {
-		t.Error("empty packet stream should yield empty trace")
-	}
-}
