@@ -305,9 +305,31 @@ func (m *Manager) drain(epoch int, rec flowmon.Recorder, buf *[]flow.Record) {
 // saturated or the epoch packet budget is exhausted.
 func (m *Manager) Update(p flow.Packet) {
 	m.rec.Update(p)
-	m.inEp++
-	m.checks++
-	m.total++
+	m.advance(1)
+}
+
+// UpdateBatch processes a batch of packets, handing the recorder whole
+// sub-batches. Each sub-batch ends at the next epoch budget or watermark
+// check, whichever comes first, so rotations and checks fall on exactly
+// the packets where per-packet Update puts them.
+func (m *Manager) UpdateBatch(pkts []flow.Packet) {
+	for len(pkts) > 0 {
+		n := min(uint64(len(pkts)), m.cfg.MaxEpochPackets-m.inEp, m.cfg.CheckEvery-m.checks)
+		m.rec.UpdateBatch(pkts[:n])
+		m.advance(n)
+		pkts = pkts[n:]
+	}
+}
+
+// advance counts n packets just applied to the live recorder, then ends
+// the epoch if its packet budget is spent or, at a watermark check, if the
+// cardinality estimate has reached the watermark. Callers never step past
+// the next budget or check boundary, so both rules fire on the exact
+// packet.
+func (m *Manager) advance(n uint64) {
+	m.inEp += n
+	m.checks += n
+	m.total += n
 
 	if m.inEp >= m.cfg.MaxEpochPackets {
 		m.Flush()
@@ -318,15 +340,6 @@ func (m *Manager) Update(p flow.Packet) {
 		if m.rec.EstimateCardinality() >= m.cfg.HighWatermark*float64(m.cfg.Capacity) {
 			m.Flush()
 		}
-	}
-}
-
-// UpdateBatch processes a batch of packets one Update at a time: epoch
-// boundaries are checked per packet, so the manager cannot hand the whole
-// batch to the recorder without risking a missed flush inside the batch.
-func (m *Manager) UpdateBatch(pkts []flow.Packet) {
-	for _, p := range pkts {
-		m.Update(p)
 	}
 }
 
@@ -376,8 +389,3 @@ func (m *Manager) EpochPackets() uint64 { return m.inEp }
 
 // TotalPackets returns the number of packets processed across all epochs.
 func (m *Manager) TotalPackets() uint64 { return m.total }
-
-// Recorder exposes the recorder filling the current epoch for queries
-// between flushes. The returned value changes at every rotation; call it
-// from the ingesting goroutine only.
-func (m *Manager) Recorder() flowmon.Recorder { return m.rec }

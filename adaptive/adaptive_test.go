@@ -129,7 +129,7 @@ func TestManualFlush(t *testing.T) {
 	// The second rotation hands epoch 0's recorder back as the live one,
 	// which the worker must have reset.
 	m.Flush()
-	if len(m.Recorder().Records()) != 0 {
+	if len(m.rec.Records()) != 0 {
 		t.Error("recorder not reset after flush")
 	}
 	m.Close()

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -8,13 +9,16 @@ import (
 
 	"repro/flow"
 	"repro/flowmon"
+	"repro/shard"
 	"repro/trace"
 )
 
 // TestDoubleBufferedEquivalence verifies the manager reports exactly the
 // epochs a one-recorder oracle reports on the same packet stream: same
-// boundaries, same record sets, under both the watermark and the packet
-// budget rule.
+// boundaries, same record sets, same counters, under both the watermark
+// and the packet budget rule. Each case is fed per packet and in batches
+// whose sizes straddle the 128-packet check interval and the 20000-packet
+// budget, so UpdateBatch must cut inside a batch to agree.
 func TestDoubleBufferedEquivalence(t *testing.T) {
 	cfg := flowmon.Config{MemoryBytes: 19 * 1024, Seed: 5}
 	tr, err := trace.Generate(trace.Campus, 15000, 9)
@@ -22,56 +26,103 @@ func TestDoubleBufferedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := tr.Packets(9)
+	_, _, cells := hashFlowPair(t, cfg)
 
-	for _, tc := range []struct {
+	configs := []struct {
 		name string
-		acfg func(cells int) Config
+		acfg Config
 	}{
-		{"watermark", func(cells int) Config { return Config{Capacity: cells, CheckEvery: 128} }},
-		{"budget", func(cells int) Config { return Config{Capacity: 1 << 20, MaxEpochPackets: 20000} }},
-	} {
-		active, standby, cells := hashFlowPair(t, cfg)
-		acfg := tc.acfg(cells)
-		var got [][]flow.Record
-		m, err := NewDoubleBuffered(active, standby, acfg, func(epoch int, records []flow.Record) {
-			got = append(got, sortedCopy(records))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pkts {
-			m.Update(p)
-		}
-		m.Flush()
-		m.Close() // waits for the worker, so got is complete and safe to read
+		{"watermark", Config{Capacity: cells, CheckEvery: 128}},
+		{"budget", Config{Capacity: 1 << 20, MaxEpochPackets: 20000}},
+	}
+	recorders := []struct {
+		name string
+		pair func(t *testing.T) (active, standby flowmon.Recorder)
+	}{
+		{"hashflow", func(t *testing.T) (flowmon.Recorder, flowmon.Recorder) {
+			a, b, _ := hashFlowPair(t, cfg)
+			return a, b
+		}},
+		{"shards=2", func(t *testing.T) (flowmon.Recorder, flowmon.Recorder) {
+			return shardedRecorder(t, cfg), shardedRecorder(t, cfg)
+		}},
+	}
+	// batch 0 feeds per-packet Update.
+	batches := []int{0, 1, 7, 256, 4096}
 
-		oracle, _, _ := hashFlowPair(t, cfg)
-		want := oracleEpochs(oracle, acfg, pkts)
-		if len(want) < 2 {
-			t.Fatalf("%s: expected multiple epochs, got %d", tc.name, len(want))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: manager produced %d epochs, oracle %d", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			if !slices.Equal(got[i], want[i]) {
-				t.Errorf("%s: epoch %d diverges: %d records vs oracle %d", tc.name, i, len(got[i]), len(want[i]))
+	for _, cc := range configs {
+		for _, rc := range recorders {
+			oracle, _ := rc.pair(t)
+			want, tail := oracleEpochs(oracle, cc.acfg, pkts)
+			if len(want) < 2 {
+				t.Fatalf("%s/%s: expected multiple epochs, got %d", cc.name, rc.name, len(want))
+			}
+			for _, batch := range batches {
+				name := "packet"
+				if batch > 0 {
+					name = fmt.Sprintf("batch=%d", batch)
+				}
+				t.Run(cc.name+"/"+rc.name+"/"+name, func(t *testing.T) {
+					active, standby := rc.pair(t)
+					var got [][]flow.Record
+					m, err := NewDoubleBuffered(active, standby, cc.acfg, func(epoch int, records []flow.Record) {
+						got = append(got, sortedCopy(records))
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batch == 0 {
+						for _, p := range pkts {
+							m.Update(p)
+						}
+					} else {
+						for off := 0; off < len(pkts); off += batch {
+							m.UpdateBatch(pkts[off:min(off+batch, len(pkts))])
+						}
+					}
+					if m.Epoch() != len(want)-1 || m.EpochPackets() != tail || m.TotalPackets() != uint64(len(pkts)) {
+						t.Errorf("Epoch, EpochPackets, TotalPackets = %d, %d, %d; oracle %d, %d, %d",
+							m.Epoch(), m.EpochPackets(), m.TotalPackets(), len(want)-1, tail, len(pkts))
+					}
+					m.Flush()
+					m.Close() // waits for the worker, so got is complete and safe to read
+					if len(got) != len(want) {
+						t.Fatalf("manager produced %d epochs, oracle %d", len(got), len(want))
+					}
+					for i := range want {
+						if !slices.Equal(got[i], want[i]) {
+							t.Errorf("epoch %d diverges: %d records vs oracle %d", i, len(got[i]), len(want[i]))
+						}
+					}
+				})
 			}
 		}
 	}
+}
+
+// shardedRecorder builds a 2-shard HashFlow recorder on cfg's total budget
+// and closes its export workers when the test ends.
+func shardedRecorder(t *testing.T, cfg flowmon.Config) flowmon.Recorder {
+	t.Helper()
+	s, err := shard.NewUniform(2, flowmon.AlgorithmHashFlow, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
 }
 
 // oracleEpochs replays pkts through one recorder with the manager's epoch
 // boundary rule written out: an epoch ends when its packet budget is spent
 // or, every CheckEvery packets, when the cardinality estimate reaches the
 // watermark. Each epoch is read with Records and then Reset; the trailing
-// partial epoch is reported too, like a final Flush.
-func oracleEpochs(rec flowmon.Recorder, cfg Config, pkts []flow.Packet) [][]flow.Record {
+// partial epoch is reported too, like a final Flush. tail is the trailing
+// epoch's packet count before that final read.
+func oracleEpochs(rec flowmon.Recorder, cfg Config, pkts []flow.Packet) (epochs [][]flow.Record, tail uint64) {
 	cfg = cfg.withDefaults()
-	var out [][]flow.Record
 	var inEp, checks uint64
 	end := func() {
-		out = append(out, sortedCopy(rec.Records()))
+		epochs = append(epochs, sortedCopy(rec.Records()))
 		rec.Reset()
 		inEp, checks = 0, 0
 	}
@@ -90,8 +141,9 @@ func oracleEpochs(rec flowmon.Recorder, cfg Config, pkts []flow.Packet) [][]flow
 			}
 		}
 	}
+	tail = inEp
 	end()
-	return out
+	return epochs, tail
 }
 
 // sortedCopy returns records copied out of a manager-owned buffer, in

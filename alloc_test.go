@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/adaptive"
 	"repro/collector"
 	"repro/flow"
 	"repro/flowmon"
@@ -80,7 +81,8 @@ func TestAppendRecordsAllocFree(t *testing.T) {
 
 // TestEpochExportAllocFree covers the full steady-state epoch export —
 // AppendRecords into a reused buffer, WriteEpoch sorting and encoding with
-// writer-owned scratch — for both the plain and the sharded recorder.
+// writer-owned scratch — for both the plain and the sharded recorder, and
+// the batched ingest that drives rotation under adaptive.Manager.
 func TestEpochExportAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -128,6 +130,51 @@ func TestEpochExportAllocFree(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("ManagerUpdateBatch", func(t *testing.T) {
+		mcfg := flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed}
+		active, err := flowmon.NewHashFlow(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		standby, err := flowmon.NewHashFlow(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A budget of 1000 packets is no multiple of the batch size, so
+		// about one batch in four is cut by a rotation.
+		m, err := adaptive.NewDoubleBuffered(active, standby, adaptive.Config{
+			Capacity:        active.MainCells(),
+			MaxEpochPackets: 1000,
+		}, func(int, []flow.Record) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		tr, err := trace.Generate(trace.CAIDA, benchFlows, benchSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := tr.Packets(benchSeed)
+		off := 0
+		feed := func() {
+			if off+collector.DefaultBatchSize > len(pkts) {
+				off = 0
+			}
+			m.UpdateBatch(pkts[off : off+collector.DefaultBatchSize])
+			off += collector.DefaultBatchSize
+		}
+		for i := 0; i < 100; i++ {
+			feed() // grow the drain buffer over several epochs
+		}
+		epoch := m.Epoch()
+		if allocs := testing.AllocsPerRun(100, feed); allocs != 0 {
+			t.Errorf("Manager.UpdateBatch allocates %.0f times per batch, want 0", allocs)
+		}
+		if m.Epoch()-epoch < 20 {
+			t.Fatalf("only %d rotations during the measured batches", m.Epoch()-epoch)
+		}
+	})
 }
 
 // TestMergeSortedAllocFree pins the zero-allocation contract of the k-way

