@@ -7,8 +7,10 @@ import (
 
 	"repro/adaptive"
 	"repro/collector"
+	"repro/detect"
 	"repro/flow"
 	"repro/flowmon"
+	"repro/internal/keysort"
 	"repro/netwide"
 	"repro/recordstore"
 	"repro/shard"
@@ -213,6 +215,54 @@ func TestMergeSortedAllocFree(t *testing.T) {
 		dst = netwide.MergeMaxInto(dst[:0], views...)
 	}); allocs != 0 {
 		t.Errorf("MergeMaxInto allocates %.0f times per merge, want 0", allocs)
+	}
+}
+
+// TestEpochSortAllocFree pins the collector side's radix key sorts:
+// netwide.SortByKey over a shuffled epoch once its pooled scratch is warm,
+// and a steady-state detect.Observe, which sorts every epoch by key and
+// its fan-in view by destination.
+func TestEpochSortAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
+		flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRecorder(t, rec, benchFlows)
+	records := rec.Records()
+	if len(records) < keysort.MinRadixLen {
+		t.Fatalf("only %d records, too few to exercise the radix path", len(records))
+	}
+
+	buf := make([]flow.Record, len(records))
+	sortEpoch := func() {
+		copy(buf, records)
+		netwide.SortByKey(buf)
+	}
+	sortEpoch() // warm the pooled scratch
+	if allocs := testing.AllocsPerRun(50, sortEpoch); allocs != 0 {
+		t.Errorf("SortByKey allocates %.0f times per epoch, want 0", allocs)
+	}
+
+	d, err := detect.NewDetector(detect.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := time.Unix(42, 0)
+	epoch := 0
+	observe := func() {
+		d.Observe(epoch, ts, records)
+		epoch++
+	}
+	// Warm until the change-summary ring has wrapped and recycles slices.
+	for epoch < d.Config().ChangeLog+2 {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(50, observe); allocs != 0 {
+		t.Errorf("detect.Observe allocates %.0f times per epoch, want 0", allocs)
 	}
 }
 

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/flow"
+	"repro/internal/keysort"
 	"repro/netwide"
 	"repro/topk"
 )
@@ -740,19 +741,12 @@ func (d *Detector) detectForecast(epoch int, ts time.Time) {
 // superspreader walk: the epoch is re-sorted by destination into a
 // reused buffer, each destination is one run, and only runs long enough
 // to possibly cross the threshold pay for a sketch evaluation over their
-// source addresses.
+// source addresses. The stable dst-major radix over the key-sorted
+// epoch leaves each run in key order.
 func (d *Detector) detectFanIn(epoch int, ts time.Time) {
 	threshold := d.cfg.FanInThreshold
 	d.byDst = append(d.byDst[:0], d.cur...)
-	slices.SortFunc(d.byDst, func(a, b flow.Record) int {
-		if a.Key.DstIP != b.Key.DstIP {
-			if a.Key.DstIP < b.Key.DstIP {
-				return -1
-			}
-			return 1
-		}
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	keysort.ByDst(d.byDst)
 	for start := 0; start < len(d.byDst); {
 		dst := d.byDst[start].Key.DstIP
 		end := start + 1

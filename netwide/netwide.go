@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"repro/flow"
+	"repro/internal/keysort"
 )
 
 // View is the record set collected at one vantage point.
@@ -316,9 +317,8 @@ func SortDeltasByKey(deltas []Delta) {
 
 // SortByKey orders records by their packed two-word key encoding
 // (flow.CompareKeys), the precondition of the Into merges and the order
-// recordstore persists.
+// recordstore persists. Large inputs take the shared radix kernel with
+// pooled scratch, allocation-free once the pool is warm.
 func SortByKey(recs []flow.Record) {
-	slices.SortFunc(recs, func(a, b flow.Record) int {
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	keysort.ByKey(recs)
 }

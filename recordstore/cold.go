@@ -829,13 +829,11 @@ func (s *Segment) blockRaw(b int) ([]byte, error) {
 // Size returns the segment's byte length.
 func (s *Segment) Size() int { return len(s.data) }
 
-// Close releases the mapping.
-func (s *Segment) Close() error {
+// releaseDecoder hands the decode state back to the pool; the next decode
+// takes one anew.
+func (s *Segment) releaseDecoder() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = nil
-	s.metas = nil
-	s.blks = nil
 	if d := s.dec; d != nil {
 		// Drop every reference to this segment before the next one takes
 		// the decoder over.
@@ -844,6 +842,16 @@ func (s *Segment) Close() error {
 		segDecoders.Put(d)
 		s.dec = nil
 	}
+}
+
+// Close releases the mapping.
+func (s *Segment) Close() error {
+	s.releaseDecoder()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.data = nil
+	s.metas = nil
+	s.blks = nil
 	if s.unmap != nil {
 		u := s.unmap
 		s.unmap = nil

@@ -10,8 +10,24 @@ import (
 	"time"
 
 	"repro/flow"
+	"repro/internal/keysort"
 	"repro/trace"
 )
+
+// radixMinLen is the epoch size at which the Writer's key sort leaves the
+// comparison sort for the radix passes.
+const radixMinLen = keysort.MinRadixLen
+
+// lessWords orders keys by their packed two-word encoding: the tests'
+// reference key order, written out apart from the sort kernel.
+func lessWords(a, b flow.Key) bool {
+	a1, a2 := a.Words()
+	b1, b2 := b.Words()
+	if a1 != b1 {
+		return a1 < b1
+	}
+	return a2 < b2
+}
 
 func randRecords(rng *rand.Rand, n int) []flow.Record {
 	out := make([]flow.Record, n)

@@ -741,21 +741,10 @@ func buildRollup(seg *Segment, k int) (SegmentEpoch, error) {
 				}
 				return 1
 			}
-			if lessWords(a.Key, b.Key) {
-				return -1
-			}
-			return 1
+			return flow.CompareKeys(a.Key, b.Key)
 		})
 		merged = merged[:k]
-		slices.SortFunc(merged, func(a, b flow.Record) int {
-			if a.Key == b.Key {
-				return 0
-			}
-			if lessWords(a.Key, b.Key) {
-				return -1
-			}
-			return 1
-		})
+		netwide.SortByKey(merged)
 	}
 	var first time.Time
 	if seg.Epochs() > 0 {
@@ -800,6 +789,9 @@ type TieredSource struct {
 	// the observable proving cold-range queries never touch hot-resident
 	// epochs.
 	hotDecodes atomic.Uint64
+
+	// lastSeg is 1 + the segment of the latest cold read, 0 before any.
+	lastSeg atomic.Int64
 }
 
 // errManifestChanged signals that a compactor published a new manifest
@@ -922,6 +914,12 @@ func (s *TieredSource) AppendEpochAt(i int, dst []flow.Record) (Epoch, error) {
 	if e.seg < 0 {
 		s.hotDecodes.Add(1)
 		return s.hot.AppendEpochAt(e.local, dst)
+	}
+	if prev := s.lastSeg.Swap(int64(e.seg) + 1); prev != 0 && prev != int64(e.seg)+1 {
+		// A scan moved on: the previous segment's decoder (an inflated
+		// block and two key columns) goes back to the pool, so a scan
+		// over many segments holds one decoder, not one per segment.
+		s.segs[prev-1].releaseDecoder()
 	}
 	return s.segs[e.seg].AppendEpochAt(e.local, dst)
 }

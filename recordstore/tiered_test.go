@@ -131,6 +131,44 @@ func TestTieredCompactMigratesAndPreserves(t *testing.T) {
 	checkTiered(t, dir, total+5).Close()
 }
 
+// TestTieredScanHoldsOneDecoder: a scan across every cold segment hands
+// each segment's decoder back when it moves on, so the source holds one
+// inflated block however many segments the store has.
+func TestTieredScanHoldsOneDecoder(t *testing.T) {
+	dir := t.TempDir()
+	tw, _, err := OpenTiered(dir, TieredOptions{HotEpochs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for round := 0; round < 3; round++ {
+		fillTiered(t, tw, total, total+20)
+		total += 20
+		if _, err := tw.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src := checkTiered(t, dir, total)
+	defer src.Close()
+	if src.Segments() != 3 {
+		t.Fatalf("%d segments, want 3", src.Segments())
+	}
+	holding := 0
+	for _, seg := range src.segs {
+		seg.mu.Lock()
+		if seg.dec != nil {
+			holding++
+		}
+		seg.mu.Unlock()
+	}
+	if holding != 1 {
+		t.Fatalf("%d segments hold a decoder after the scan, want 1", holding)
+	}
+}
+
 // TestTieredColdRangeSkipsHot is the acceptance scenario: a ≥1000-epoch
 // store answers a time-ranged query over old data by binary search into
 // cold segments without decoding a single hot-resident epoch.

@@ -12,7 +12,7 @@
 //
 // The extraction path mirrors the ingestion design: AppendRecords drains
 // all shards in parallel into per-shard chunk buffers that are reused
-// across epochs and concatenates them into the caller's buffer in
+// across epochs and sorts each into its span of the caller's buffer in
 // deterministic shard-then-key order, so continuous epoch export neither
 // stalls ingestion longer than one shard's drain nor allocates at steady
 // state.
@@ -26,6 +26,7 @@ import (
 	"repro/flow"
 	"repro/flowmon"
 	"repro/internal/hashing"
+	"repro/internal/keysort"
 	"repro/telemetry"
 )
 
@@ -60,6 +61,8 @@ type Sharded struct {
 type exportState struct {
 	mu      sync.Mutex // serializes extractions and guards the fields below
 	bufs    [][]flow.Record
+	slots   [][]flow.Record // each chunk's span of the destination
+	sorting bool            // the round in flight: extract, or sort into slots
 	req     chan int
 	done    chan struct{}
 	started bool
@@ -193,10 +196,11 @@ func (s *Sharded) Records() []flow.Record {
 
 // AppendRecords appends every shard's records to dst and returns the
 // extended slice, in the same deterministic shard-then-key order as
-// Records. The shards are drained in parallel into per-shard chunk buffers
-// owned by the recorder and reused across epochs, then concatenated into
-// dst with a single pre-sized grow, so exporting every epoch through one
-// reused dst buffer is allocation-free at steady state.
+// Records. Two parallel rounds: every shard is drained into its reused
+// chunk buffer, then, dst grown once to the total, each chunk is
+// radix-sorted into its own span of dst, which serves as the sort's
+// ping-pong buffer. Steady-state export into a reused dst does not
+// allocate.
 //
 // The first multi-shard extraction spawns one persistent export worker
 // goroutine per shard (idle between extractions); call Close when
@@ -207,37 +211,50 @@ func (s *Sharded) AppendRecords(dst []flow.Record) []flow.Record {
 	defer e.mu.Unlock()
 	if e.bufs == nil {
 		e.bufs = make([][]flow.Record, len(s.shards))
+		e.slots = make([][]flow.Record, len(s.shards))
 	}
-	if len(s.shards) > 1 && !e.stopped {
-		if !e.started {
-			e.req = make(chan int)
-			e.done = make(chan struct{}, len(s.shards))
-			for w := 0; w < len(s.shards); w++ {
-				e.wg.Add(1)
-				go s.exportWorker()
-			}
-			e.started = true
-		}
-		for i := range s.shards {
-			e.req <- i
-		}
-		for range s.shards {
-			<-e.done
-		}
-	} else {
-		for i := range s.shards {
-			s.exportShard(i)
-		}
-	}
+	e.sorting = false
+	s.exportRound()
 	total := 0
 	for i := range e.bufs {
 		total += len(e.bufs[i])
 	}
-	dst = slices.Grow(dst, total)
+	off := len(dst)
+	dst = slices.Grow(dst, total)[:off+total]
 	for i := range e.bufs {
-		dst = append(dst, e.bufs[i]...)
+		e.slots[i] = dst[off : off+len(e.bufs[i])]
+		off += len(e.bufs[i])
 	}
+	e.sorting = true
+	s.exportRound()
 	return dst
+}
+
+// exportRound runs exportShard for every shard: on the persistent workers
+// when there are several shards, sequentially otherwise or after Close.
+func (s *Sharded) exportRound() {
+	e := &s.export
+	if len(s.shards) == 1 || e.stopped {
+		for i := range s.shards {
+			s.exportShard(i)
+		}
+		return
+	}
+	if !e.started {
+		e.req = make(chan int)
+		e.done = make(chan struct{}, len(s.shards))
+		for w := 0; w < len(s.shards); w++ {
+			e.wg.Add(1)
+			go s.exportWorker()
+		}
+		e.started = true
+	}
+	for i := range s.shards {
+		e.req <- i
+	}
+	for range s.shards {
+		<-e.done
+	}
 }
 
 // exportWorker drains shard indices from the export request channel until
@@ -250,25 +267,21 @@ func (s *Sharded) exportWorker() {
 	}
 }
 
-// exportShard extracts one shard's records into its reused chunk buffer
-// and sorts the chunk by packed flow key for deterministic output.
+// exportShard does shard i's part of the current round: extract its
+// records into its chunk, or sort the chunk by packed key into its slot
+// of dst. Keys are unique within a shard — routing sends a flow to
+// exactly one shard and recorders report each key once — so the order is
+// a pure function of the record set.
 func (s *Sharded) exportShard(i int) {
+	e := &s.export
+	if e.sorting {
+		keysort.SortInto(e.slots[i], e.bufs[i])
+		return
+	}
 	slot := &s.shards[i]
 	slot.mu.Lock()
-	s.export.bufs[i] = slot.rec.AppendRecords(s.export.bufs[i][:0])
+	e.bufs[i] = slot.rec.AppendRecords(e.bufs[i][:0])
 	slot.mu.Unlock()
-	sortByKey(s.export.bufs[i])
-}
-
-// sortByKey orders a shard's chunk by the canonical packed-key order
-// (flow.CompareKeys). Keys are unique within a shard — routing sends a
-// flow to exactly one shard and recorders report each key once — so no
-// tiebreak is needed for the order to be a pure function of the record
-// set.
-func sortByKey(recs []flow.Record) {
-	slices.SortFunc(recs, func(a, b flow.Record) int {
-		return flow.CompareKeys(a.Key, b.Key)
-	})
 }
 
 // EstimateSize routes the query to the owning shard.

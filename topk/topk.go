@@ -25,6 +25,7 @@ import (
 
 	"repro/flow"
 	"repro/internal/hashing"
+	"repro/internal/keysort"
 )
 
 // EntryBytes approximates the memory footprint of one tracked entry:
@@ -377,13 +378,16 @@ func siftWorstDown(h []flow.Record, i int) {
 
 // AppendSorted appends every tracked flow to dst in packed-key order — the
 // netwide.View order the Into merges consume — and returns the extended
-// slice. Allocation-free with a reused dst.
+// slice. The radix sort ping-pongs against dst's new tail, so it is
+// allocation-free with a reused dst.
 func (t *Tracker) AppendSorted(dst []flow.Record) []flow.Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fillScratch()
-	slices.SortFunc(t.scratch, compareKeyAsc)
-	return append(dst, t.scratch...)
+	off := len(dst)
+	dst = slices.Grow(dst, len(t.scratch))[:off+len(t.scratch)]
+	keysort.SortInto(dst[off:], t.scratch)
+	return dst
 }
 
 // fillScratch snapshots the entries into t.scratch. Callers hold mu.
@@ -403,11 +407,6 @@ func compareCountDesc(a, b flow.Record) int {
 		}
 		return 1
 	}
-	return flow.CompareKeys(a.Key, b.Key)
-}
-
-// compareKeyAsc orders records by packed key.
-func compareKeyAsc(a, b flow.Record) int {
 	return flow.CompareKeys(a.Key, b.Key)
 }
 
