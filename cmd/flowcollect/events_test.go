@@ -264,7 +264,7 @@ func TestServeHealthDegradedTransition(t *testing.T) {
 	}
 	store := collector.NewEpochStore(recordstore.NewWriter(failWriter{}))
 	health := serveHealth(time.Now(), &epochs, store, &lastErr, setLastErr,
-		&telemetry.StoreHealth{Path: "x.frec", State: "created"}, nil)
+		&telemetry.StoreHealth{Path: "x.frec", State: "created"})
 
 	mux := http.NewServeMux()
 	telemetry.Ops{Registry: telemetry.NewRegistry(), Health: health}.Register(mux)

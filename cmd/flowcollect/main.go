@@ -23,9 +23,8 @@
 // are served on /alerts + /changes, printed to stdout with -alerts, and
 // POSTed as JSON to a webhook with -webhook. The -http listener also
 // carries the ops surface: /metrics (Prometheus text, or ?format=json),
-// /healthz (structured status including the store-recovery and
-// checkpoint-restore outcomes), and with -debug the /debug/pprof/
-// profiling endpoints:
+// /healthz (structured status including the store-recovery outcome), and
+// with -debug the /debug/pprof/ profiling endpoints:
 //
 //	flowcollect serve -listen 127.0.0.1:2055 -store records.frec -for 1m
 //	flowcollect serve -listen 127.0.0.1:2055 -store records.frec -http 127.0.0.1:8080
@@ -36,9 +35,14 @@
 // path), serve mode writes a tiered store instead of a flat file: the
 // newest epochs stay in the mmap hot tier, a background compactor
 // migrates older ones into delta-compressed cold segments, and -retain
-// downsamples expired segments into exact top-k rollups. -seedhistory N
-// (with -detect) replays the newest N stored epochs through the detector
-// at boot so forecasting and anomaly baselines resume warm:
+// downsamples expired segments into exact top-k rollups.
+//
+// A restart on an existing store is a warm restart: epochs keep their
+// store index (the sink's counter starts at the stored epoch count, so an
+// alert's epoch is the one /flows?epoch= serves), and with -detect the
+// newest -seedhistory stored epochs (default 16, 0 starts cold) replay
+// through the detector before live traffic, so forecasting, anomaly
+// baselines and the heavy-change base resume where the store left off:
 //
 //	flowcollect serve -listen 127.0.0.1:2055 -store store.d -hotepochs 64 \
 //	    -compactevery 64 -retain 720h -detect -seedhistory 256
@@ -150,7 +154,7 @@ func runServe(args []string, w io.Writer) error {
 	hotEpochs := fs.Int("hotepochs", 64, "epochs kept in the mmap hot tier before compaction migrates them into compressed cold segments (tiered store)")
 	compactEvery := fs.Int("compactevery", 0, "compact in the background once the hot tier exceeds -hotepochs by this many epochs; 0 compacts only at shutdown (tiered store)")
 	retain := fs.Duration("retain", 0, "downsample cold segments entirely older than this (measured against the newest epoch) into exact top-k rollups; 0 keeps everything lossless (tiered store)")
-	seedHist := fs.Int("seedhistory", 0, "warm detection baselines by replaying this many stored epochs at boot (with -detect; skipped when a checkpoint restored)")
+	seedHist := fs.Int("seedhistory", detect.DefaultSeedEpochs, "replay this many of the newest stored epochs through the detector at boot so detection restarts warm; 0 starts cold (with -detect)")
 	gap := fs.Duration("gap", time.Second, "quiet gap that closes an epoch")
 	runFor := fs.Duration("for", 30*time.Second, "how long to serve before shutting down")
 	httpAddr := fs.String("http", "", "also serve the live query API on this address")
@@ -163,17 +167,15 @@ func runServe(args []string, w io.Writer) error {
 	alerts := fs.Bool("alerts", false, "print alerts to stdout (with -detect)")
 	webhook := fs.String("webhook", "", "POST each epoch's alerts as JSON to this URL (with -detect)")
 	fsyncPol := fs.String("fsync", "off", "store durability policy: off, epoch, or a sync interval like 2s")
-	ckptPath := fs.String("checkpoint", "", "detector checkpoint sidecar file (with -detect): restored at startup, saved every -ckptevery epochs and at shutdown")
-	ckptEvery := fs.Int("ckptevery", 16, "checkpoint the detector every N evaluated epochs (with -checkpoint)")
 	debug := fs.Bool("debug", false, "also serve net/http/pprof under /debug/pprof/ (with -http)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*alerts || *webhook != "" || *ckptPath != "" || *seedHist > 0) && !*det {
-		return errors.New("-alerts/-webhook/-checkpoint/-seedhistory need -detect")
+	if (*alerts || *webhook != "") && !*det {
+		return errors.New("-alerts/-webhook need -detect")
 	}
-	if *ckptEvery < 1 {
-		return errors.New("-ckptevery must be positive")
+	if *seedHist < 0 {
+		return errors.New("-seedhistory must not be negative")
 	}
 	pol, err := recordstore.ParseSyncPolicy(*fsyncPol)
 	if err != nil {
@@ -280,10 +282,8 @@ func runServe(args []string, w io.Writer) error {
 	// analogue of the export drain worker — with alerts fanned out to the
 	// query ring, stdout, and the async webhook sink.
 	var (
-		detector   *detect.Detector
-		hook       *webhookSink
-		epochs     atomic.Uint64
-		ckptHealth *telemetry.CheckpointHealth
+		detector *detect.Detector
+		hook     *webhookSink
 	)
 	if *det {
 		detector, err = detect.NewDetector(detect.Config{
@@ -296,47 +296,6 @@ func runServe(args []string, w io.Writer) error {
 			return err
 		}
 		detector.SetMetrics(detect.NewMetrics(reg))
-		if *ckptPath != "" {
-			ckptHealth = &telemetry.CheckpointHealth{Path: *ckptPath, State: "cold"}
-			// Restore pre-crash evaluation state so a ramp in progress
-			// across the restart still alerts; a missing sidecar is a
-			// normal first boot, anything else starts cold and says so.
-			switch err := detector.LoadCheckpoint(*ckptPath); {
-			case err == nil:
-				logger.Info("checkpoint: restored "+*ckptPath, "kind", "checkpoint",
-					"epochs", detector.Epochs(), "forecast_keys", detector.ForecastTracked())
-				ckptHealth.State = "restored"
-				ckptHealth.Epochs = detector.Epochs()
-				ckptHealth.ForecastKeys = detector.ForecastTracked()
-				epochs.Store(detector.Epochs())
-			case errors.Is(err, os.ErrNotExist):
-			default:
-				ckptHealth.Error = err.Error()
-				logger.Warn(fmt.Sprintf("checkpoint: %s unusable; starting cold", *ckptPath),
-					"kind", "checkpoint", "error", err.Error())
-			}
-		}
-		// No checkpoint restored: approximate warm state by replaying
-		// stored history through the detector (alerts suppressed — they
-		// already fired when those epochs were live). The epoch counter
-		// advances past the replayed prefix so live evaluation continues
-		// where the history ends.
-		if *seedHist > 0 && epochs.Load() == 0 && !recov.Created {
-			if src, err := recordstore.Open(*storePath); err != nil {
-				logger.Warn("detect: history seed unavailable", "kind", "seed", "error", err.Error())
-			} else {
-				n, err := detector.SeedFromHistory(src, *seedHist)
-				src.Close()
-				if err != nil {
-					logger.Warn("detect: history seed failed", "kind", "seed",
-						"epochs", n, "error", err.Error())
-				} else if n > 0 {
-					epochs.Store(detector.Epochs())
-					logger.Info("detect: seeded baselines from history", "kind", "seed",
-						"epochs", n, "forecast_keys", detector.ForecastTracked())
-				}
-			}
-		}
 		if *webhook != "" {
 			hook = newWebhookSink(*webhook)
 			hook.instrument(reg)
@@ -359,6 +318,35 @@ func runServe(args []string, w io.Writer) error {
 				hook.deliver(as)
 			}
 		})
+	}
+
+	// Warm restart. Epochs keep their store index across restarts: the
+	// sink's counter starts at the reopened store's epoch count, read
+	// through the same source /flows serves (recov.Epochs counts only a
+	// tiered store's hot file). The detector replays the stored tail
+	// under those indices (alerts suppressed — they already fired when
+	// the epochs were live), so live evaluation continues where the
+	// history ends.
+	var epochs atomic.Uint64
+	if !recov.Created {
+		history, err := recordstore.Open(*storePath)
+		if err != nil {
+			return fmt.Errorf("reopen store for reading: %w", err)
+		}
+		epochs.Store(uint64(history.Epochs()))
+		if detector != nil {
+			began := time.Now()
+			n, err := detector.SeedFromHistory(history, *seedHist)
+			if err != nil {
+				logger.Warn("detect: history seed failed", "kind", "seed",
+					"epochs", n, "error", err.Error())
+			} else if n > 0 {
+				logger.Info("detect: seeded baselines from history", "kind", "seed",
+					"epochs", n, "forecast_keys", detector.ForecastTracked(),
+					"took", time.Since(began).String())
+			}
+		}
+		history.Close()
 	}
 
 	// The composed epoch sink: persist, then (with -http) feed the live
@@ -404,20 +392,11 @@ func runServe(args []string, w io.Writer) error {
 			var as []detect.Alert
 			sp.Time("detect", func() { as = detector.Observe(ep, ts, records) })
 			sp.AddAlerts(len(as))
-			if *ckptPath != "" && detector.Epochs()%uint64(*ckptEvery) == 0 {
-				sp.Time("checkpoint", func() {
-					if err := detector.SaveCheckpoint(*ckptPath); err != nil {
-						setLastErr(fmt.Errorf("checkpoint save: %w", err))
-						logger.Error("checkpoint: save failed",
-							"kind", "checkpoint", "epoch", ep, "error", err.Error())
-					}
-				})
-			}
 		}
 		sp.End(bus, tracer)
 		epochs.Add(1)
 	}
-	health := serveHealth(start, &epochs, store, &lastErr, setLastErr, storeHealth, ckptHealth)
+	health := serveHealth(start, &epochs, store, &lastErr, setLastErr, storeHealth)
 	if *httpAddr != "" {
 		cfg := query.Config{
 			TopK:           tracker,
@@ -466,20 +445,15 @@ func runServe(args []string, w io.Writer) error {
 
 	// Run until the deadline or a termination signal, then shut down in
 	// dependency order: stop ingest and drain the in-flight epoch through
-	// the sink (collector.Shutdown is synchronous), checkpoint the detector
-	// with that final epoch included, make the store durable, and only then
-	// stop answering queries.
+	// the sink (collector.Shutdown is synchronous), make the store durable
+	// — the next boot's detector replays from it — and only then stop
+	// answering queries.
 	select {
 	case <-time.After(*runFor):
 	case sig := <-sigCh:
 		logger.Info(fmt.Sprintf("received %v, shutting down", sig))
 	}
 	srv.Shutdown()
-	if detector != nil && *ckptPath != "" {
-		if err := detector.SaveCheckpoint(*ckptPath); err != nil {
-			logger.Error("checkpoint: final save failed", "kind", "checkpoint", "error", err.Error())
-		}
-	}
 	// Err before Flush: Flush also returns the sticky write error, which
 	// would short-circuit the dropped-epoch diagnostic.
 	if err := store.Err(); err != nil {
@@ -519,19 +493,18 @@ func runServe(args []string, w io.Writer) error {
 }
 
 // serveHealth builds the /healthz snapshot closure: liveness plus the
-// store/checkpoint recovery facts, degraded when any component reported
+// store recovery facts, degraded when any component reported
 // an error. Factored out of runServe so the healthy→degraded transition
 // is testable without a full serve run.
 func serveHealth(start time.Time, epochs *atomic.Uint64, store *collector.EpochStore,
 	lastErr *atomic.Pointer[string], setLastErr func(error),
-	storeHealth *telemetry.StoreHealth, ckptHealth *telemetry.CheckpointHealth) func() telemetry.Health {
+	storeHealth *telemetry.StoreHealth) func() telemetry.Health {
 	return func() telemetry.Health {
 		h := telemetry.Health{
 			Status:        "ok",
 			UptimeSeconds: telemetry.Uptime(start),
 			Epochs:        epochs.Load(),
 			Store:         storeHealth,
-			Checkpoint:    ckptHealth,
 		}
 		if err := store.Err(); err != nil {
 			setLastErr(fmt.Errorf("store write (%d later epochs dropped): %w", store.Dropped(), err))

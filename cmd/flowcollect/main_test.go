@@ -666,14 +666,17 @@ func TestWebhookSinkRetryBudgetExhausted(t *testing.T) {
 
 func TestServeDurabilityFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"serve", "-checkpoint", "x.ckpt", "-for", "1ms"}, &buf); err == nil {
-		t.Error("serve -checkpoint without -detect accepted")
-	}
 	if err := run([]string{"serve", "-fsync", "sometimes", "-for", "1ms"}, &buf); err == nil {
 		t.Error("serve -fsync sometimes accepted")
 	}
-	if err := run([]string{"serve", "-detect", "-checkpoint", "x.ckpt", "-ckptevery", "0", "-for", "1ms"}, &buf); err == nil {
-		t.Error("serve -ckptevery 0 accepted")
+	if err := run([]string{"serve", "-detect", "-seedhistory", "-1", "-for", "1ms"}, &buf); err == nil {
+		t.Error("serve -seedhistory -1 accepted")
+	}
+	// The store is the only detector state: there is no sidecar to name.
+	for _, flag := range []string{"-checkpoint", "-ckptevery"} {
+		if err := run([]string{"serve", "-detect", flag, "1", "-for", "1ms"}, &buf); err == nil {
+			t.Errorf("serve %s accepted", flag)
+		}
 	}
 }
 
@@ -736,8 +739,8 @@ func TestServeAppendsAcrossRuns(t *testing.T) {
 }
 
 // TestServeGracefulSigterm: a termination signal mid-run must shut the
-// collector down cleanly — final epoch drained and stored, checkpoint
-// written, normal exit — well before the -for deadline.
+// collector down cleanly — final epoch drained and stored (the state the
+// next boot replays), normal exit — well before the -for deadline.
 func TestServeGracefulSigterm(t *testing.T) {
 	udpProbe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -746,15 +749,13 @@ func TestServeGracefulSigterm(t *testing.T) {
 	port := udpProbe.LocalAddr().String()
 	udpProbe.Close()
 
-	dir := t.TempDir()
-	store := filepath.Join(dir, "sig.frec")
-	ckpt := filepath.Join(dir, "sig.ckpt")
+	store := filepath.Join(t.TempDir(), "sig.frec")
 	out := &lockedBuf{}
 	serveDone := make(chan error, 1)
 	go func() {
 		serveDone <- run([]string{"serve", "-listen", port, "-store", store,
 			"-fsync", "epoch", "-gap", "200ms", "-for", "1h",
-			"-detect", "-checkpoint", ckpt}, out)
+			"-detect"}, out)
 	}()
 
 	// Wait for the serve loop to come up, feed it one epoch, let the quiet
@@ -791,7 +792,7 @@ func TestServeGracefulSigterm(t *testing.T) {
 		t.Errorf("no final summary in output: %q", out.String())
 	}
 
-	// The drained epoch made it to the store and the checkpoint exists.
+	// The drained epoch made it to the store.
 	m, err := recordstore.OpenMapped(store)
 	if err != nil {
 		t.Fatalf("store after SIGTERM: %v", err)
@@ -799,16 +800,6 @@ func TestServeGracefulSigterm(t *testing.T) {
 	defer m.Close()
 	if m.Epochs() == 0 {
 		t.Error("store empty after graceful shutdown")
-	}
-	d, err := detect.NewDetector(detect.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LoadCheckpoint(ckpt); err != nil {
-		t.Fatalf("checkpoint after SIGTERM: %v", err)
-	}
-	if d.Epochs() == 0 {
-		t.Error("checkpoint holds no evaluated epochs")
 	}
 }
 
@@ -877,9 +868,9 @@ func TestServeTieredStore(t *testing.T) {
 	}
 	src.Close()
 
-	// Second run on the same directory: -seedhistory warms the detector
-	// from the stored epochs before live traffic arrives.
-	out := oneRun("-detect", "-seedhistory", "16")
+	// Second run on the same directory: -detect replays the stored epochs
+	// (cold segments included) before live traffic arrives.
+	out := oneRun("-detect")
 	if !strings.Contains(out, "seeded baselines from history") {
 		t.Fatalf("second run did not seed from history:\n%s", out)
 	}

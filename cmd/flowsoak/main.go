@@ -6,11 +6,12 @@
 //
 //   - the restarted collector recovers its store (torn tail truncated, no
 //     decode error, epoch count off by at most one),
-//   - the detector restored from its checkpoint re-alerts on a slow ramp
-//     that was in progress across the crash within a bounded number of
-//     epochs, while an identical collector restarted WITHOUT a checkpoint
-//     stays blind to it — the controlled experiment that proves the
-//     checkpoint carries detection state, not just bytes,
+//   - the detector that replays its store's tail at boot (the default
+//     warm restart) re-alerts on a slow ramp that was in progress across
+//     the crash within a bounded number of epochs, while an identical
+//     collector restarted with -seedhistory 0 stays blind to it — the
+//     controlled experiment that proves the stored epochs carry detection
+//     state, not just bytes,
 //   - a webhook receiver that 500s and stalls loses no alert deliveries
 //     (the sink retries under backoff),
 //   - flowqueryd answers /flows over the recovered store, and (full mode)
@@ -18,9 +19,8 @@
 //     correlator unwedged when one vantage goes dead,
 //   - final loss accounting is sane: no phantom losses from the restarts.
 //
-// The ramp parameters mirror the pinned scenario in
-// detect/checkpoint_test.go (TestCheckpointRampRestore); change them
-// there first.
+// The ramp parameters mirror the pinned scenario in detect/seed_test.go
+// (TestReplayRampRestore); change them there first.
 //
 //	flowsoak -quick   # one kill/restart cycle, ~30s: the CI smoke mode
 //	flowsoak          # adds a queryd kill/restart and dead-vantage checks
@@ -61,10 +61,11 @@ func main() {
 	}
 }
 
-// Ramp scenario, pinned by detect/checkpoint_test.go: stable warmup at
+// Ramp scenario, pinned by detect/seed_test.go: stable warmup at
 // rampBase, then +rampStep per epoch against a CUSUM threshold of
-// rampThreshold. Killed after rampKillAfter ramp epochs, a restored
-// detector re-alerts within rampBudget epochs; a cold one does not.
+// rampThreshold. Killed after rampKillAfter ramp epochs, a detector that
+// replays the stored tail re-alerts within rampBudget epochs; a cold one
+// does not.
 const (
 	rampBase      = 2000
 	rampStep      = 300
@@ -124,8 +125,8 @@ type soak struct {
 	hook   *faults.FlakyHandler
 	hookLn net.Listener
 
-	subject *member // checkpointed collector
-	control *member // identical, but restarts cold
+	subject *member // restarts warm: replays its store's tail
+	control *member // identical, but restarts cold (-seedhistory 0)
 
 	procs []*proc // everything spawned, for reaping
 }
@@ -137,7 +138,7 @@ type member struct {
 	udpAddr   string
 	httpAddr  string
 	storePath string
-	ckptPath  string // empty for the control
+	cold      bool // restart with -seedhistory 0 (the control)
 	feed      *vantage
 	proc      *proc
 }
@@ -156,12 +157,12 @@ func (s *soak) run() error {
 	defer s.hookLn.Close()
 
 	// Phase 1: both collectors up, duplicated stable load.
-	sub, err := s.startMember("subject", true)
+	sub, err := s.startMember("subject", false)
 	if err != nil {
 		return err
 	}
 	s.subject = sub
-	ctl, err := s.startMember("control", false)
+	ctl, err := s.startMember("control", true)
 	if err != nil {
 		return err
 	}
@@ -185,7 +186,7 @@ func (s *soak) run() error {
 			return err
 		}
 	}
-	// Let the final ramp epoch's quiet gap close and its checkpoint land.
+	// Let the final ramp epoch's quiet gap close and its store write land.
 	time.Sleep(s.gap + 300*time.Millisecond)
 
 	preKill, err := s.epochCount(s.subject)
@@ -226,8 +227,8 @@ func (s *soak) run() error {
 		}
 	}
 
-	// Phase 3: restart on the same stores; the recovery + checkpoint
-	// restore lines are the collector's own report of what it found.
+	// Phase 3: restart on the same stores; the recovery and replay lines
+	// are the collector's own report of what it found.
 	s.logf("phase: restart both collectors on their own stores")
 	for _, m := range []*member{s.subject, s.control} {
 		if err := s.respawn(m); err != nil {
@@ -252,8 +253,8 @@ func (s *soak) run() error {
 				m.name, recovered, preKill)
 		}
 	}
-	if _, err := s.subject.proc.waitFor("checkpoint: restored", 5*time.Second); err != nil {
-		return fmt.Errorf("subject did not restore its checkpoint: %w", err)
+	if _, err := s.subject.proc.waitFor("seeded baselines from history", 5*time.Second); err != nil {
+		return fmt.Errorf("subject did not replay its stored history: %w", err)
 	}
 	postKill, err := s.epochCount(s.subject)
 	if err != nil {
@@ -277,13 +278,6 @@ func (s *soak) run() error {
 			return fmt.Errorf("%s /healthz reports %d epochs recovered, had %d pre-kill",
 				m.name, h.Store.EpochsRecovered, preKill)
 		}
-		if m == s.subject {
-			if h.Checkpoint == nil || h.Checkpoint.State != "restored" {
-				return fmt.Errorf("subject /healthz checkpoint = %+v, want state restored", h.Checkpoint)
-			}
-		} else if h.Checkpoint != nil {
-			return fmt.Errorf("uncheckpointed control /healthz reports a checkpoint: %+v", h.Checkpoint)
-		}
 	}
 	s.logf("recovery ok: %d epochs pre-kill, %d served after restart (healthz agrees)", preKill, postKill)
 
@@ -293,7 +287,7 @@ func (s *soak) run() error {
 	s.hook.StallNext(100 * time.Millisecond)
 
 	// Phase 5: the ramp continues where it left off. Within the budget the
-	// restored subject must re-alert; the cold control must not.
+	// replayed subject must re-alert; the cold control must not.
 	s.logf("phase: resume ramp for %d epochs (the re-alert budget)", rampBudget)
 	for i := 1; i <= rampBudget; i++ {
 		if err := s.sendEpoch(rampKillAfter + i); err != nil {
@@ -311,10 +305,10 @@ func (s *soak) run() error {
 		return err
 	}
 	if subAlerts == 0 {
-		return fmt.Errorf("restored subject raised no forecast alert within %d epochs: checkpoint did not carry detection state", rampBudget)
+		return fmt.Errorf("replayed subject raised no forecast alert within %d epochs: replay did not carry detection state", rampBudget)
 	}
 	if ctlAlerts != 0 {
-		return fmt.Errorf("cold control raised %d forecast alerts within %d epochs: scenario no longer isolates checkpoint value", ctlAlerts, rampBudget)
+		return fmt.Errorf("cold control raised %d forecast alerts within %d epochs: scenario no longer isolates replay value", ctlAlerts, rampBudget)
 	}
 	s.logf("detection continuity ok: subject re-alerted, control blind (as designed)")
 
@@ -330,7 +324,7 @@ func (s *soak) run() error {
 		return fmt.Errorf("SSE client held %d connection(s); never reconnected across the kill", sseConns)
 	}
 	if sseAlerts == 0 {
-		return errors.New("restored subject's re-alert never reached the SSE stream")
+		return errors.New("replayed subject's re-alert never reached the SSE stream")
 	}
 	s.logf("sse ok: %d connections, %d epoch events, %d alert events, resume clean", sseConns, sseEpochs, sseAlerts)
 
@@ -451,7 +445,7 @@ func (s *soak) hookURL() string {
 }
 
 // collectArgs is the serve command line of one member; identical between
-// subject and control except for the checkpoint sidecar.
+// subject and control except for the control's cold restart.
 func (s *soak) collectArgs(m *member) []string {
 	args := []string{"serve",
 		"-listen", m.udpAddr,
@@ -467,14 +461,14 @@ func (s *soak) collectArgs(m *member) []string {
 		"-changedelta", "1000000000",
 		"-webhook", s.hookURL(),
 	}
-	if m.ckptPath != "" {
-		args = append(args, "-checkpoint", m.ckptPath, "-ckptevery", "1")
+	if m.cold {
+		args = append(args, "-seedhistory", "0")
 	}
 	return args
 }
 
 // startMember provisions and starts one collector.
-func (s *soak) startMember(name string, checkpointed bool) (*member, error) {
+func (s *soak) startMember(name string, cold bool) (*member, error) {
 	udpAddr, err := probeUDP()
 	if err != nil {
 		return nil, err
@@ -488,9 +482,7 @@ func (s *soak) startMember(name string, checkpointed bool) (*member, error) {
 		udpAddr:   udpAddr,
 		httpAddr:  httpAddr,
 		storePath: filepath.Join(s.dir, name+".frec"),
-	}
-	if checkpointed {
-		m.ckptPath = filepath.Join(s.dir, name+".ckpt")
+		cold:      cold,
 	}
 	if err := s.respawn(m); err != nil {
 		return nil, err
@@ -534,7 +526,7 @@ func (s *soak) sendEpoch(rampEpoch int) error {
 }
 
 // rampRecords is the traffic of one epoch: the ramping subject flow plus
-// steady background flows, mirroring detect/checkpoint_test.go.
+// steady background flows, mirroring detect/seed_test.go.
 func rampRecords(rampEpoch int) []flow.Record {
 	count := uint32(rampBase)
 	if rampEpoch > 0 {

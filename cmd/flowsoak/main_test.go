@@ -37,13 +37,13 @@ func TestParseDoneMalformed(t *testing.T) {
 }
 
 // TestRampMatchesPinnedScenario guards the coupling between this harness
-// and detect/checkpoint_test.go: the live soak replays exactly the ramp
-// the in-process test proved re-alerts within the budget after a restore
-// and stays quiet cold. If this fails, re-derive both together.
+// and detect/seed_test.go: the live soak replays exactly the ramp the
+// in-process test proved re-alerts within the budget after a warm
+// restart and stays quiet cold. If this fails, re-derive both together.
 func TestRampMatchesPinnedScenario(t *testing.T) {
 	if rampBase != 2000 || rampStep != 300 || rampThreshold != 2200 ||
 		rampWarmup != 10 || rampKillAfter != 4 || rampBudget != 5 {
-		t.Fatalf("ramp constants drifted from detect/checkpoint_test.go: base=%d step=%d threshold=%d warmup=%d killAfter=%d budget=%d",
+		t.Fatalf("ramp constants drifted from detect/seed_test.go: base=%d step=%d threshold=%d warmup=%d killAfter=%d budget=%d",
 			rampBase, rampStep, rampThreshold, rampWarmup, rampKillAfter, rampBudget)
 	}
 	if got := rampRecords(0)[0].Count; got != rampBase {

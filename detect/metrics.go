@@ -5,18 +5,13 @@ import (
 )
 
 // Metrics carries the detector's instruments: alert volume broken down
-// by kind and severity, the per-epoch evaluation cost, and checkpoint
-// save/load latency. Everything is observed at epoch (or checkpoint)
-// granularity on the evaluating goroutine — nothing touches the packet
-// path.
+// by kind and severity, and the per-epoch evaluation cost. Everything is
+// observed at epoch granularity on the evaluating goroutine — nothing
+// touches the packet path.
 type Metrics struct {
 	// ObserveNs is the full evaluation cost of one epoch (every
 	// enabled stage).
 	ObserveNs *telemetry.Histogram
-	// CheckpointSaveNs / CheckpointLoadNs time the durable checkpoint
-	// round trips (write+fsync+rename, and restore).
-	CheckpointSaveNs *telemetry.Histogram
-	CheckpointLoadNs *telemetry.Histogram
 
 	// Fixed per-kind / per-severity alert counters, indexed by the
 	// (small, dense) Kind and Severity enums so the emit path is an
@@ -32,12 +27,6 @@ func NewMetrics(reg *telemetry.Registry, labelPairs ...string) *Metrics {
 		ObserveNs: reg.Histogram(
 			telemetry.Name("detect_observe_ns", labelPairs...),
 			"full epoch evaluation cost (all enabled stages), ns"),
-		CheckpointSaveNs: reg.Histogram(
-			telemetry.Name("detect_checkpoint_save_ns", labelPairs...),
-			"checkpoint save latency (write+fsync+rename), ns"),
-		CheckpointLoadNs: reg.Histogram(
-			telemetry.Name("detect_checkpoint_load_ns", labelPairs...),
-			"checkpoint restore latency, ns"),
 	}
 	for k := KindHeavyChange; k <= KindNetwide; k++ {
 		lbl := append(append([]string{}, labelPairs...), "kind", k.String())

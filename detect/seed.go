@@ -1,17 +1,22 @@
-// Baseline seeding: replaying stored epochs through the detector at
-// boot, so forecasting, anomaly baselines and the heavy-change
-// comparison base resume warm from a store instead of re-learning from
-// scratch after every restart. This is the read-path complement to the
-// checkpoint sidecar — a checkpoint restores exact evaluation state,
-// seeding reconstructs an approximation from the data itself, which also
-// works across detector-version or configuration changes that invalidate
-// a checkpoint.
+// Warm restart: the detector's state is a pure function of the epochs it
+// has observed, and the record store already holds those epochs durably.
+// Replaying the stored tail through the detector at boot therefore brings
+// forecasting, anomaly baselines and the heavy-change comparison base back
+// warm with no second copy of detector state to keep in step with the
+// store. Replaying the whole history reproduces an uninterrupted detector
+// exactly; the default tail of DefaultSeedEpochs is enough to carry an
+// in-progress slow ramp across a restart. Because replay reads records, not
+// serialized state, it also survives a detector configuration change.
 package detect
 
 import (
 	"repro/flow"
 	"repro/recordstore"
 )
+
+// DefaultSeedEpochs is how many stored epochs a warm restart replays by
+// default (flowcollect serve's -seedhistory).
+const DefaultSeedEpochs = 16
 
 // SeedFromHistory replays up to n of src's newest epochs through the
 // detector in stored order and returns how many it replayed. The replay
@@ -21,21 +26,21 @@ import (
 // untouched, because whatever the replayed history alerted on already
 // fired when those epochs were live.
 //
-// Epochs replay with indices 0..n-1, so Epochs() reports n afterwards
-// and live evaluation should continue at index n. Rollup epochs replay
-// like any other epoch (their truncated tails make the warmed baselines
-// slightly conservative). Call before live evaluation starts; not safe
-// concurrently with Observe.
+// Each epoch replays under its store index, so live evaluation continues
+// at index src.Epochs() and every alert names the epoch /v1/flows?epoch=
+// serves. Epochs() counts the replayed epochs as observations. Rollup
+// epochs replay like any other epoch (their truncated tails make the
+// warmed baselines slightly conservative). Call before live evaluation
+// starts; not safe concurrently with Observe.
 func (d *Detector) SeedFromHistory(src recordstore.EpochSource, n int) (int, error) {
-	if total := src.Epochs(); n > total {
-		n = total
-	}
+	total := src.Epochs()
+	n = min(n, total)
 	if n <= 0 {
 		return 0, nil
 	}
 	d.seeding = true
 	defer func() { d.seeding = false }()
-	first := src.Epochs() - n
+	first := total - n
 	var buf []flow.Record
 	for i := 0; i < n; i++ {
 		ep, err := src.AppendEpochAt(first+i, buf[:0])
@@ -43,7 +48,7 @@ func (d *Detector) SeedFromHistory(src recordstore.EpochSource, n int) (int, err
 			return i, err
 		}
 		buf = ep.Records
-		d.Observe(i, ep.Time, ep.Records)
+		d.Observe(first+i, ep.Time, ep.Records)
 	}
 	return n, nil
 }

@@ -1,8 +1,8 @@
 // Package events is the structured pipeline-event layer shared by both
 // daemons: a bounded in-memory ring of lifecycle events (epoch spans, alert
-// emissions, recovery/checkpoint transitions, degradation notices, log
-// lines), each stamped with a monotonic sequence number so consumers can
-// resume after a disconnect (SSE Last-Event-ID).
+// emissions, recovery transitions, degradation notices, log lines), each
+// stamped with a monotonic sequence number so consumers can resume after a
+// disconnect (SSE Last-Event-ID).
 //
 // The bus is deliberately lock-light: one mutex guards the ring and the
 // subscriber set, publishers never block on slow consumers (stalled
@@ -30,22 +30,19 @@ const (
 	KindAlert
 	// KindRecovery is a store recovery outcome at boot.
 	KindRecovery
-	// KindCheckpoint is a detector checkpoint save/restore transition.
-	KindCheckpoint
 	// KindDegraded is a degradation notice (sticky store error, webhook
-	// drops, checkpoint save failure).
+	// drops, failed compaction).
 	KindDegraded
 
 	kindMax = KindDegraded
 )
 
 var kindNames = [...]string{
-	KindLog:        "log",
-	KindEpoch:      "epoch",
-	KindAlert:      "alert",
-	KindRecovery:   "recovery",
-	KindCheckpoint: "checkpoint",
-	KindDegraded:   "degraded",
+	KindLog:      "log",
+	KindEpoch:    "epoch",
+	KindAlert:    "alert",
+	KindRecovery: "recovery",
+	KindDegraded: "degraded",
 }
 
 // String returns the wire name of the kind ("alert", "epoch", ...).

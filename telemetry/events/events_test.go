@@ -310,7 +310,7 @@ func TestLogHandlerRendersAndPublishes(t *testing.T) {
 	logger := slog.New(NewLogHandler(&buf, b, "live"))
 
 	logger.Info("store: recovered store.bin", "kind", "recovery", "epochs_intact", 3)
-	logger.Warn("checkpoint: save failed", "kind", "checkpoint", "epoch", 7, "error", "disk full")
+	logger.Warn("store: write failed", "kind", "degraded", "epoch", 7, "error", "disk full")
 	logger.Error("plain line", "path", "/tmp/x y")
 
 	out := buf.String()
@@ -335,7 +335,7 @@ func TestLogHandlerRendersAndPublishes(t *testing.T) {
 	if evs[0].Kind != KindRecovery || evs[0].Vantage != "live" || evs[0].Epoch != NoEpoch {
 		t.Fatalf("event 0: %+v", evs[0])
 	}
-	if evs[1].Kind != KindCheckpoint || evs[1].Severity != SeverityWarning || evs[1].Epoch != 7 {
+	if evs[1].Kind != KindDegraded || evs[1].Severity != SeverityWarning || evs[1].Epoch != 7 {
 		t.Fatalf("event 1: %+v", evs[1])
 	}
 	if evs[2].Kind != KindLog || evs[2].Severity != SeverityCritical {

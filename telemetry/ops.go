@@ -20,23 +20,10 @@ type StoreHealth struct {
 	TornBytes       int64  `json:"torn_bytes"`
 }
 
-// CheckpointHealth reports the detector checkpoint restore outcome.
-type CheckpointHealth struct {
-	Path string `json:"path"`
-	// State is "restored" when a checkpoint was loaded at boot,
-	// "cold" when none was usable, or "disabled" when checkpointing
-	// is off.
-	State        string `json:"state"`
-	Epochs       uint64 `json:"epochs"`
-	ForecastKeys int    `json:"forecast_keys"`
-	Error        string `json:"error,omitempty"`
-}
-
 // VantageHealth groups per-vantage state for multi-vantage daemons.
 type VantageHealth struct {
-	Name       string            `json:"name"`
-	Store      *StoreHealth      `json:"store,omitempty"`
-	Checkpoint *CheckpointHealth `json:"checkpoint,omitempty"`
+	Name  string       `json:"name"`
+	Store *StoreHealth `json:"store,omitempty"`
 }
 
 // Health is the /healthz response body: a structured snapshot of the
@@ -45,13 +32,12 @@ type VantageHealth struct {
 type Health struct {
 	// Status is "ok" or "degraded" (a component reported an error but
 	// the process is still serving).
-	Status        string            `json:"status"`
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Epochs        uint64            `json:"epochs"`
-	LastError     string            `json:"last_error,omitempty"`
-	Store         *StoreHealth      `json:"store,omitempty"`
-	Checkpoint    *CheckpointHealth `json:"checkpoint,omitempty"`
-	Vantages      []VantageHealth   `json:"vantages,omitempty"`
+	Status        string          `json:"status"`
+	UptimeSeconds float64         `json:"uptime_seconds"`
+	Epochs        uint64          `json:"epochs"`
+	LastError     string          `json:"last_error,omitempty"`
+	Store         *StoreHealth    `json:"store,omitempty"`
+	Vantages      []VantageHealth `json:"vantages,omitempty"`
 }
 
 // Ops is the shared operational HTTP surface. Both daemons mount it on

@@ -334,7 +334,7 @@ func TestJSONExposition(t *testing.T) {
 }
 
 // TestOpsEndpoints drives the mounted mux: /metrics in both formats,
-// /healthz structure (including the store/checkpoint recovery facts),
+// /healthz structure (including the store recovery facts),
 // and pprof presence only under debug.
 func TestOpsEndpoints(t *testing.T) {
 	r := NewRegistry()
@@ -345,7 +345,6 @@ func TestOpsEndpoints(t *testing.T) {
 			UptimeSeconds: 1.5,
 			Epochs:        9,
 			Store:         &StoreHealth{Path: "x.store", State: "recovered", EpochsRecovered: 4, TornBytes: 13},
-			Checkpoint:    &CheckpointHealth{Path: "x.ckpt", State: "restored", Epochs: 4, ForecastKeys: 2},
 		}
 	}
 	for _, debug := range []bool{false, true} {
@@ -372,9 +371,6 @@ func TestOpsEndpoints(t *testing.T) {
 		}
 		if h.Store == nil || h.Store.State != "recovered" || h.Store.TornBytes != 13 {
 			t.Errorf("healthz store %+v", h.Store)
-		}
-		if h.Checkpoint == nil || h.Checkpoint.State != "restored" {
-			t.Errorf("healthz checkpoint %+v", h.Checkpoint)
 		}
 
 		code := getCode(t, srv.URL+"/debug/pprof/cmdline")
