@@ -255,45 +255,55 @@ func mixedEpoch(e int) []flow.Record {
 
 // TestReplayFullHistoryEquivalence: a detector that replays the whole
 // stored history raises exactly the alerts of one that never stopped, on
-// every epoch after the restart, wherever the restart falls. It runs
-// under two configs over the same stored history: replay reads records,
-// not saved state, so a retuned detector restarts as warm as one whose
-// config never changed.
+// every epoch after the restart, wherever the restart falls.
 func TestReplayFullHistoryEquivalence(t *testing.T) {
+	assertReplayEquivalent(t, mixedConfig())
+}
+
+// TestReplayRetunedConfig: replay reads records, not saved state, so a
+// detector whose config changed across the restart comes back as warm and
+// as exact as one whose config did not.
+func TestReplayRetunedConfig(t *testing.T) {
+	retuned := mixedConfig()
+	retuned.ForecastThreshold = 999
+	retuned.BaselineWindow = 12
+	assertReplayEquivalent(t, retuned)
+}
+
+// assertReplayEquivalent runs mixedEpoch history under cfg and checks
+// that full-history replay at three cut points matches the uninterrupted
+// detector on every later epoch.
+func assertReplayEquivalent(t *testing.T, cfg Config) {
+	t.Helper()
 	const total = 60
 	history := make([][]flow.Record, total)
 	for e := range history {
 		history[e] = mixedEpoch(e)
 	}
-	retuned := mixedConfig()
-	retuned.ForecastThreshold = 999
-	retuned.BaselineWindow = 12
-	for _, cfg := range []Config{mixedConfig(), retuned} {
-		ref := mustDetector(t, cfg)
-		want := make([][]Alert, total)
-		kinds := map[Kind]int{}
-		for e, recs := range history {
-			want[e] = append([]Alert(nil), ref.Observe(e, ts(e), recs)...)
-			if e < 5 {
-				continue
-			}
-			for _, a := range want[e] {
-				kinds[a.Kind]++
-			}
+	ref := mustDetector(t, cfg)
+	want := make([][]Alert, total)
+	kinds := map[Kind]int{}
+	for e, recs := range history {
+		want[e] = append([]Alert(nil), ref.Observe(e, ts(e), recs)...)
+		if e < 5 {
+			continue
 		}
-		for _, k := range []Kind{KindHeavyChange, KindSuperspreader, KindAnomaly, KindForecast, KindVictimFanIn} {
-			if kinds[k] == 0 {
-				t.Fatalf("workload raised no %v alert after epoch 5: the comparison does not cover that stage (%v)", k, kinds)
-			}
+		for _, a := range want[e] {
+			kinds[a.Kind]++
 		}
+	}
+	for _, k := range []Kind{KindHeavyChange, KindSuperspreader, KindAnomaly, KindForecast, KindVictimFanIn} {
+		if kinds[k] == 0 {
+			t.Fatalf("workload raised no %v alert after epoch 5: the comparison does not cover that stage (%v)", k, kinds)
+		}
+	}
 
-		for _, cut := range []int{5, 17, 40} {
-			d := mustDetector(t, cfg)
-			seed(t, d, writeStore(t, history[:cut]), cut, cut)
-			for e := cut; e < total; e++ {
-				if got := d.Observe(e, ts(e), history[e]); !slices.Equal(got, want[e]) {
-					t.Fatalf("cut %d, epoch %d diverged:\nuninterrupted %v\nreplayed      %v", cut, e, want[e], got)
-				}
+	for _, cut := range []int{5, 17, 40} {
+		d := mustDetector(t, cfg)
+		seed(t, d, writeStore(t, history[:cut]), cut, cut)
+		for e := cut; e < total; e++ {
+			if got := d.Observe(e, ts(e), history[e]); !slices.Equal(got, want[e]) {
+				t.Fatalf("cut %d, epoch %d diverged:\nuninterrupted %v\nreplayed      %v", cut, e, want[e], got)
 			}
 		}
 	}
