@@ -785,7 +785,7 @@ func runQueryBench(cfg config, w io.Writer) error {
 		requests = 50
 	}
 	const k = 10
-	url := fmt.Sprintf("http://%s/topk?k=%d", ln.Addr(), k)
+	url := fmt.Sprintf("http://%s/v1/topk?k=%d", ln.Addr(), k)
 	client := &http.Client{Timeout: 5 * time.Second}
 	lat := make([]time.Duration, 0, requests)
 	for i := 0; i < requests+10; i++ {

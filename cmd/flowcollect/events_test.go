@@ -119,7 +119,7 @@ func TestServeEventsSSE(t *testing.T) {
 	defer cancel()
 	frames := make(chan sseEvent, 64)
 	go func() {
-		_ = sseCollect(ctx, "http://"+httpAddr+"/events?kind=alert,epoch", frames)
+		_ = sseCollect(ctx, "http://"+httpAddr+"/v1/events?kind=alert,epoch", frames)
 	}()
 
 	conn, err := net.Dial("udp", udpAddr)
@@ -200,8 +200,8 @@ waitEpoch:
 
 	// The spike epoch's timeline: full stage breakdown with real timings.
 	var tr query.TraceResponse
-	if err := getJSON("http://"+httpAddr+"/trace/epochs", &tr); err != nil {
-		t.Fatalf("/trace/epochs: %v", err)
+	if err := getJSON("http://"+httpAddr+"/v1/trace/epochs", &tr); err != nil {
+		t.Fatalf("/v1/trace/epochs: %v", err)
 	}
 	var spike *events.EpochTrace
 	for i := range tr.Epochs {
@@ -210,7 +210,7 @@ waitEpoch:
 		}
 	}
 	if spike == nil {
-		t.Fatalf("/trace/epochs missing epoch %d: %+v", alertEv.Epoch, tr.Epochs)
+		t.Fatalf("/v1/trace/epochs missing epoch %d: %+v", alertEv.Epoch, tr.Epochs)
 	}
 	if spike.Records == 0 || spike.TotalNs <= 0 || spike.Vantage != "live" {
 		t.Errorf("spike trace: %+v", spike)
@@ -227,7 +227,7 @@ waitEpoch:
 
 	// The instrumented mux counted the requests this test already made.
 	metrics := getBody(t, "http://"+httpAddr+"/metrics")
-	if !strings.Contains(metrics, `http_requests_total{endpoint="/trace/epochs"}`) {
+	if !strings.Contains(metrics, `http_requests_total{endpoint="/v1/trace/epochs"}`) {
 		t.Errorf("/metrics missing endpoint counters:\n%s", metrics)
 	}
 	if !strings.Contains(metrics, "events_published_total") {

@@ -15,12 +15,13 @@
 //
 // Serve mode runs a persistent collector that writes each quiet-gap
 // delimited epoch to a record store file (query it with flowquery). With
-// -http it also serves the live query API: /topk straight from an online
-// tracker fed per epoch, /epochs and /flows from the growing store file.
-// With -detect each epoch additionally runs through the detection
-// subsystem (heavy changers, slow-ramp forecasting, superspreaders,
-// victim fan-in, anomaly baselines) — alerts
-// are served on /alerts + /changes, printed to stdout with -alerts, and
+// -http it also serves the live query API under /v1/ (see API.md):
+// /v1/topk straight from an online tracker fed per epoch, /v1/epochs and
+// /v1/flows from the growing store file. With -detect each epoch
+// additionally runs through the detection subsystem (heavy changers,
+// slow-ramp forecasting, superspreaders, victim fan-in, anomaly
+// baselines) — alerts are served on /v1/alerts + /v1/changes, printed to
+// stdout with -alerts, and
 // POSTed as JSON to a webhook with -webhook. The -http listener also
 // carries the ops surface: /metrics (Prometheus text, or ?format=json),
 // /healthz (structured status including the store-recovery outcome), and
@@ -39,7 +40,7 @@
 //
 // A restart on an existing store is a warm restart: epochs keep their
 // store index (the sink's counter starts at the stored epoch count, so an
-// alert's epoch is the one /flows?epoch= serves), and with -detect the
+// alert's epoch is the one /v1/flows?epoch= serves), and with -detect the
 // newest -seedhistory stored epochs (default 16, 0 starts cold) replay
 // through the detector before live traffic, so forecasting, anomaly
 // baselines and the heavy-change base resume where the store left off:

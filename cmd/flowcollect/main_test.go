@@ -274,18 +274,18 @@ func TestServeWithQueryAPI(t *testing.T) {
 	time.Sleep(600 * time.Millisecond)
 
 	var tk query.TopKResponse
-	if err := getJSON("http://"+httpAddr+"/topk?k=5", &tk); err != nil {
-		t.Fatalf("/topk: %v", err)
+	if err := getJSON("http://"+httpAddr+"/v1/topk?k=5", &tk); err != nil {
+		t.Fatalf("/v1/topk: %v", err)
 	}
 	if len(tk.Flows) == 0 {
-		t.Error("/topk returned no flows while the collector is live")
+		t.Error("/v1/topk returned no flows while the collector is live")
 	}
 	var eps query.EpochsResponse
-	if err := getJSON("http://"+httpAddr+"/epochs", &eps); err != nil {
-		t.Fatalf("/epochs: %v", err)
+	if err := getJSON("http://"+httpAddr+"/v1/epochs", &eps); err != nil {
+		t.Fatalf("/v1/epochs: %v", err)
 	}
 	if len(eps.Epochs) == 0 {
-		t.Error("/epochs empty while the store has an epoch")
+		t.Error("/v1/epochs empty while the store has an epoch")
 	}
 
 	// The ops surface shares the query listener: Prometheus text and
@@ -548,8 +548,8 @@ func TestServeDetectWebhook(t *testing.T) {
 	time.Sleep(600 * time.Millisecond) // quiet gap closes epoch 2
 
 	var alerts query.AlertsResponse
-	if err := getJSON("http://"+httpAddr+"/alerts", &alerts); err != nil {
-		t.Fatalf("/alerts: %v", err)
+	if err := getJSON("http://"+httpAddr+"/v1/alerts", &alerts); err != nil {
+		t.Fatalf("/v1/alerts: %v", err)
 	}
 	kinds := map[string]int{}
 	for _, a := range alerts.Alerts {
@@ -562,8 +562,8 @@ func TestServeDetectWebhook(t *testing.T) {
 		t.Errorf("no superspreader alert; got %+v", alerts.Alerts)
 	}
 	var changes query.ChangesResponse
-	if err := getJSON("http://"+httpAddr+"/changes", &changes); err != nil {
-		t.Fatalf("/changes: %v", err)
+	if err := getJSON("http://"+httpAddr+"/v1/changes", &changes); err != nil {
+		t.Fatalf("/v1/changes: %v", err)
 	}
 	found := false
 	for _, ep := range changes.Epochs {
@@ -574,7 +574,7 @@ func TestServeDetectWebhook(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("/changes missing the +5000 delta: %+v", changes.Epochs)
+		t.Errorf("/v1/changes missing the +5000 delta: %+v", changes.Epochs)
 	}
 
 	wg.Wait()

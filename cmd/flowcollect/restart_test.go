@@ -72,12 +72,13 @@ func startLiveServe(t *testing.T, store string) *liveServe {
 	return s
 }
 
-// storedEpochs is the length of the /v1/epochs listing; a store that
-// holds no epoch yet cannot be opened for reading and counts as empty.
+// storedEpochs is the length of the /v1/epochs listing; a fresh store
+// lists zero epochs, so any request error fails the test.
 func (s *liveServe) storedEpochs() int {
+	s.t.Helper()
 	var eps query.EpochsResponse
 	if err := getJSON(s.base+"/v1/epochs", &eps); err != nil {
-		return 0
+		s.t.Fatalf("/v1/epochs: %v", err)
 	}
 	return len(eps.Epochs)
 }

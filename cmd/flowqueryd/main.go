@@ -7,29 +7,13 @@
 //	flowqueryd -listen :8080 -store records.frec -netflow 127.0.0.1:2055
 //	flowqueryd -listen :8080 -netflow 127.0.0.1:2055 -netflow 127.0.0.1:2056 -detect
 //
-// Endpoints (see package repro/query):
-//
-//	GET /topk?k=10                live heavy hitters (with -netflow), or
-//	                              the primary store's all-time summary
-//	GET /epochs                   epoch listing of the primary store
-//	GET /flows?filter=dport=443   filtered records, ?epoch= or ?from=/?to=
-//	GET /netwide/topk?k=10        top-k over all stores + the live feeds
-//	GET /alerts?kind=anomaly      detection alerts (with -netflow -detect)
-//	GET /changes?k=10             per-epoch heavy-change top-k lists
-//	GET /netwide/alerts           cross-vantage correlated alerts with
-//	                              per-vantage evidence (-detect, 2+ feeds)
-//	GET /metrics                  runtime metrics, Prometheus text or
-//	                              ?format=json
-//	GET /healthz                  structured health snapshot (uptime,
-//	                              epochs, vantages)
-//	GET /events?kind=alert        live pipeline events over SSE, resumable
-//	                              via Last-Event-ID
-//	GET /trace/epochs             recent per-epoch stage timelines
-//
-// Every endpoint is also served under /v1/ — the stable, versioned
-// surface with a structured {"error":{"code","message"}} envelope and
-// strict parameter validation. The unversioned paths are deprecated
-// aliases kept byte-compatible for existing clients (see API.md).
+// It serves the query API under /v1/ (endpoints, parameters and errors
+// in API.md) beside /metrics, /healthz and, with -debug, /debug/pprof/.
+// /v1/topk reads the first -netflow feed's live tracker, or without one
+// the primary store's all-time summary; /v1/epochs and /v1/flows read the
+// primary store; /v1/netwide/topk merges every store and live feed; the
+// alert endpoints need -netflow -detect, and /v1/netwide/alerts two or
+// more feeds.
 //
 // The primary store (first -store) is re-opened per request, so a store a
 // collector is still appending to is always served current. A -store may

@@ -105,10 +105,10 @@ func TestDaemonServesStores(t *testing.T) {
 			"-for", "3s"}, &out)
 	}()
 	base := "http://" + addr
-	waitUp(t, base+"/epochs")
+	waitUp(t, base+"/v1/epochs")
 
 	var eps query.EpochsResponse
-	if err := getJSON(t, base+"/epochs", &eps); err != nil {
+	if err := getJSON(t, base+"/v1/epochs", &eps); err != nil {
 		t.Fatal(err)
 	}
 	if len(eps.Epochs) != 2 {
@@ -116,7 +116,7 @@ func TestDaemonServesStores(t *testing.T) {
 	}
 
 	var flows query.FlowsResponse
-	if err := getJSON(t, base+"/flows?filter=dport%3D443", &flows); err != nil {
+	if err := getJSON(t, base+"/v1/flows?filter=dport%3D443", &flows); err != nil {
 		t.Fatal(err)
 	}
 	if flows.Matched != 2 {
@@ -126,7 +126,7 @@ func TestDaemonServesStores(t *testing.T) {
 	// /topk without a live feed answers from the primary store summary:
 	// the 443 flow sums to 1500 across its epochs.
 	var tk query.TopKResponse
-	if err := getJSON(t, base+"/topk?k=1", &tk); err != nil {
+	if err := getJSON(t, base+"/v1/topk?k=1", &tk); err != nil {
 		t.Fatal(err)
 	}
 	if len(tk.Flows) != 1 || tk.Flows[0].Packets != 1500 {
@@ -135,7 +135,7 @@ func TestDaemonServesStores(t *testing.T) {
 
 	// /netwide/topk merges both stores: 1500 + 700.
 	var nw query.TopKResponse
-	if err := getJSON(t, base+"/netwide/topk?k=1", &nw); err != nil {
+	if err := getJSON(t, base+"/v1/netwide/topk?k=1", &nw); err != nil {
 		t.Fatal(err)
 	}
 	if len(nw.Sources) != 2 {
@@ -198,7 +198,7 @@ func TestDaemonCorrelatesVantages(t *testing.T) {
 			"-detect", "-changedelta", "1024", "-gap", "300ms", "-for", "6s"}, &out)
 	}()
 	base := "http://" + addr
-	waitUp(t, base+"/alerts")
+	waitUp(t, base+"/v1/alerts")
 
 	hot := flow.Key{SrcIP: 0x0A000001, DstIP: 0x0A000063, DstPort: 443, Proto: 6}
 	cold := flow.Key{SrcIP: 0x0A000002, DstIP: 0x0A000064, DstPort: 80, Proto: 6}
@@ -214,7 +214,7 @@ func TestDaemonCorrelatesVantages(t *testing.T) {
 	var nw query.NetwideAlertsResponse
 	deadline := time.Now().Add(4 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := getJSON(t, base+"/netwide/alerts", &nw); err == nil && nw.Matched > 0 {
+		if err := getJSON(t, base+"/v1/netwide/alerts", &nw); err == nil && nw.Matched > 0 {
 			break
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -233,7 +233,7 @@ func TestDaemonCorrelatesVantages(t *testing.T) {
 	// The per-vantage surface works too: /alerts serves the first
 	// vantage's detector, which saw the same heavy change locally.
 	var al query.AlertsResponse
-	if err := getJSON(t, base+"/alerts?kind=heavychange", &al); err != nil {
+	if err := getJSON(t, base+"/v1/alerts?kind=heavychange", &al); err != nil {
 		t.Fatal(err)
 	}
 	if al.Matched == 0 {

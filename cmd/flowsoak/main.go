@@ -547,7 +547,7 @@ func (s *soak) epochCount(m *member) (int, error) {
 
 func epochCountAt(httpAddr string) (int, error) {
 	var eps query.EpochsResponse
-	if err := getJSON("http://"+httpAddr+"/epochs", &eps); err != nil {
+	if err := getJSON("http://"+httpAddr+"/v1/epochs", &eps); err != nil {
 		return 0, err
 	}
 	return len(eps.Epochs), nil
@@ -556,7 +556,7 @@ func epochCountAt(httpAddr string) (int, error) {
 // forecastAlerts counts a member's forecast alerts.
 func (s *soak) forecastAlerts(m *member) (int, error) {
 	var resp query.AlertsResponse
-	if err := getJSON("http://"+m.httpAddr+"/alerts?kind=forecast", &resp); err != nil {
+	if err := getJSON("http://"+m.httpAddr+"/v1/alerts?kind=forecast", &resp); err != nil {
 		return 0, err
 	}
 	return resp.Matched, nil
@@ -581,12 +581,12 @@ func (s *soak) checkQueryd() error {
 	}
 	flows, err := queryFlows(addr)
 	if err != nil {
-		return fmt.Errorf("/flows over recovered store: %w", err)
+		return fmt.Errorf("/v1/flows over recovered store: %w", err)
 	}
 	if flows == 0 {
-		return errors.New("/flows over recovered store returned nothing")
+		return errors.New("/v1/flows over recovered store returned nothing")
 	}
-	s.logf("queryd ok: /flows matched %d records", flows)
+	s.logf("queryd ok: /v1/flows matched %d records", flows)
 
 	if !s.quick {
 		// Kill/restart the query daemon too: it must come back on the same
@@ -603,7 +603,7 @@ func (s *soak) checkQueryd() error {
 			return err
 		}
 		if flows, err = queryFlows(addr); err != nil || flows == 0 {
-			return fmt.Errorf("restarted queryd /flows: %d matched, err %v", flows, err)
+			return fmt.Errorf("restarted queryd /v1/flows: %d matched, err %v", flows, err)
 		}
 		if err := qd2.sigterm(10 * time.Second); err != nil {
 			return fmt.Errorf("queryd graceful shutdown: %w", err)
@@ -771,8 +771,8 @@ func (s *soak) fullModeChecks() error {
 	// The correlator must answer, not hang on the dead vantage, and the
 	// synchronized spike must have been promoted while B was alive.
 	var nw query.NetwideAlertsResponse
-	if err := getJSON("http://"+addr+"/netwide/alerts", &nw); err != nil {
-		return fmt.Errorf("/netwide/alerts with a dead vantage: %w", err)
+	if err := getJSON("http://"+addr+"/v1/netwide/alerts", &nw); err != nil {
+		return fmt.Errorf("/v1/netwide/alerts with a dead vantage: %w", err)
 	}
 	if nw.Matched == 0 {
 		return errors.New("correlator promoted nothing despite a synchronized cross-vantage spike")
@@ -813,7 +813,7 @@ type sseWatch struct {
 func watchEvents(httpAddr string) *sseWatch {
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &sseWatch{
-		url:    "http://" + httpAddr + "/events?kind=alert,epoch",
+		url:    "http://" + httpAddr + "/v1/events?kind=alert,epoch",
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
@@ -1116,7 +1116,7 @@ func (s *soak) healthz(m *member) (telemetry.Health, error) {
 // matched count.
 func queryFlows(addr string) (int, error) {
 	var resp query.FlowsResponse
-	if err := getJSON("http://"+addr+"/flows", &resp); err != nil {
+	if err := getJSON("http://"+addr+"/v1/flows", &resp); err != nil {
 		return 0, err
 	}
 	return resp.Matched, nil

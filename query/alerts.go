@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 
 	"repro/detect"
 	"repro/flow"
@@ -49,9 +48,8 @@ type AlertParams struct {
 	Filter recordstore.Filter
 }
 
-// ParseAlertParams decodes /alerts URL query values, with the same
-// strictness contract as ParseParams: unknown keys and repeated keys are
-// rejected.
+// ParseAlertParams decodes /v1/alerts URL query values with the same
+// contract as ParseParams: unknown keys and repeated keys are rejected.
 func ParseAlertParams(q url.Values) (AlertParams, error) {
 	p := AlertParams{MinSeverity: detect.SeverityInfo, Epoch: -1, Limit: DefaultLimit}
 	for key, vals := range q {
@@ -71,9 +69,6 @@ func ParseAlertParams(q url.Values) (AlertParams, error) {
 			p.Limit, err = parseBounded(val, 1, MaxLimit)
 		case "filter":
 			p.Filter, err = recordstore.ParseFilter(val)
-		case "strict":
-			// Consumed by the handler layer (checkStrict).
-			_, err = strconv.ParseBool(val)
 		default:
 			return AlertParams{}, fmt.Errorf("query: unknown parameter %q", key)
 		}
@@ -222,23 +217,13 @@ func netwideAlertJSON(a detect.NetwideAlert) NetwideAlertJSON {
 	return out
 }
 
-func (h *handler) alerts(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (h *handler) alerts(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if h.cfg.Alerts == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no alert source configured"))
+		writeError(w, http.StatusNotFound, errors.New("no alert source configured"))
 		return
 	}
-	if r.Method != http.MethodGet {
-		writeError(w, v, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query()
-	if err := checkStrict(v, q, alertParams); err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return
-	}
-	p, err := ParseAlertParams(q)
-	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
+	p, ok := parse(w, q, ParseAlertParams)
+	if !ok {
 		return
 	}
 	all := h.cfg.Alerts.AppendAlerts(nil)
@@ -259,23 +244,13 @@ func (h *handler) alerts(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) netwideAlerts(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (h *handler) netwideAlerts(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if h.cfg.NetwideAlerts == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no netwide alert source configured"))
+		writeError(w, http.StatusNotFound, errors.New("no netwide alert source configured"))
 		return
 	}
-	if r.Method != http.MethodGet {
-		writeError(w, v, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query()
-	if err := checkStrict(v, q, alertParams); err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return
-	}
-	p, err := ParseAlertParams(q)
-	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
+	p, ok := parse(w, q, ParseAlertParams)
+	if !ok {
 		return
 	}
 	all := h.cfg.NetwideAlerts.AppendNetwideAlerts(nil)
@@ -294,12 +269,12 @@ func (h *handler) netwideAlerts(w http.ResponseWriter, r *http.Request, v apiVer
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) changes(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (h *handler) changes(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if h.cfg.Alerts == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no alert source configured"))
+		writeError(w, http.StatusNotFound, errors.New("no alert source configured"))
 		return
 	}
-	p, ok := decode(w, r, v, changeParams)
+	p, ok := parse(w, q, ParseParams)
 	if !ok {
 		return
 	}

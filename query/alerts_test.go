@@ -46,7 +46,7 @@ func TestAlertsEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	var resp AlertsResponse
-	if code := get(t, srv, "/alerts", &resp); code != http.StatusOK {
+	if code := get(t, srv, "/v1/alerts", &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	// Epoch 1: heavy change + superspreader; epoch 2: recovery change.
@@ -63,14 +63,14 @@ func TestAlertsEndpoint(t *testing.T) {
 
 	t.Run("kind filter", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?kind=superspreader", &r)
+		get(t, srv, "/v1/alerts?kind=superspreader", &r)
 		if r.Matched != 1 || r.Alerts[0].Src != "1.1.1.1" {
 			t.Errorf("superspreader filter: %+v", r)
 		}
 	})
 	t.Run("severity filter", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?severity=critical", &r)
+		get(t, srv, "/v1/alerts?severity=critical", &r)
 		// The 9000-packet delta is 90x the 100 threshold: critical. The
 		// recovery too. The 100-fanout spreader is under 4x: warning.
 		if r.Matched != 2 {
@@ -79,30 +79,30 @@ func TestAlertsEndpoint(t *testing.T) {
 	})
 	t.Run("epoch filter", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?epoch=1", &r)
+		get(t, srv, "/v1/alerts?epoch=1", &r)
 		if r.Matched != 2 {
 			t.Errorf("epoch filter matched %d", r.Matched)
 		}
 	})
 	t.Run("flow filter", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?filter=src%3D10.0.0.1", &r)
+		get(t, srv, "/v1/alerts?filter=src%3D10.0.0.1", &r)
 		if r.Matched != 2 {
 			t.Errorf("flow filter matched %d: %+v", r.Matched, r.Alerts)
 		}
 	})
 	t.Run("limit keeps newest", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?limit=1", &r)
+		get(t, srv, "/v1/alerts?limit=1", &r)
 		if r.Matched != 3 || !r.Limited || len(r.Alerts) != 1 || r.Alerts[0].Epoch != 2 {
 			t.Errorf("limited listing: %+v", r)
 		}
 	})
 	t.Run("bad params", func(t *testing.T) {
-		if code := get(t, srv, "/alerts?kind=bogus", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/alerts?kind=bogus", nil); code != http.StatusBadRequest {
 			t.Errorf("bogus kind -> %d", code)
 		}
-		if code := get(t, srv, "/alerts?since=1", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/alerts?since=1", nil); code != http.StatusBadRequest {
 			t.Errorf("unknown param -> %d", code)
 		}
 	})
@@ -113,7 +113,7 @@ func TestChangesEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	var resp ChangesResponse
-	if code := get(t, srv, "/changes", &resp); code != http.StatusOK {
+	if code := get(t, srv, "/v1/changes", &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(resp.Epochs) != 2 {
@@ -133,14 +133,14 @@ func TestChangesEndpoint(t *testing.T) {
 
 	t.Run("epoch param", func(t *testing.T) {
 		var r ChangesResponse
-		get(t, srv, "/changes?epoch=1", &r)
+		get(t, srv, "/v1/changes?epoch=1", &r)
 		if len(r.Epochs) != 1 || r.Epochs[0].Epoch != 1 {
 			t.Errorf("epoch=1: %+v", r.Epochs)
 		}
 	})
 	t.Run("filter", func(t *testing.T) {
 		var r ChangesResponse
-		get(t, srv, "/changes?filter=dport%3D22", &r)
+		get(t, srv, "/v1/changes?filter=dport%3D22", &r)
 		for _, ep := range r.Epochs {
 			if len(ep.Changes) != 0 {
 				t.Errorf("dport=22 matched: %+v", ep.Changes)
@@ -180,18 +180,18 @@ func TestAlertKindsOnTheWire(t *testing.T) {
 	defer srv.Close()
 
 	var fc AlertsResponse
-	get(t, srv, "/alerts?kind=forecast", &fc)
+	get(t, srv, "/v1/alerts?kind=forecast", &fc)
 	if fc.Matched != 1 || fc.Alerts[0].Flow == nil || fc.Alerts[0].Flow.Src != "10.0.0.1" {
 		t.Errorf("forecast on the wire: %+v", fc.Alerts)
 	}
 	var fi AlertsResponse
-	get(t, srv, "/alerts?kind=victimfanin", &fi)
+	get(t, srv, "/v1/alerts?kind=victimfanin", &fi)
 	if fi.Matched != 1 || fi.Alerts[0].Dst != "8.8.8.8" || fi.Alerts[0].Src != "" {
 		t.Errorf("fan-in on the wire: %+v", fi.Alerts)
 	}
 	t.Run("dst filter matches fan-in key", func(t *testing.T) {
 		var r AlertsResponse
-		get(t, srv, "/alerts?filter=dst%3D8.8.8.8", &r)
+		get(t, srv, "/v1/alerts?filter=dst%3D8.8.8.8", &r)
 		if r.Matched != 1 || r.Alerts[0].Kind != "victimfanin" {
 			t.Errorf("dst filter: %+v", r)
 		}
@@ -224,7 +224,7 @@ func TestNetwideAlertsEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	var resp NetwideAlertsResponse
-	if code := get(t, srv, "/netwide/alerts", &resp); code != http.StatusOK {
+	if code := get(t, srv, "/v1/netwide/alerts", &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if resp.Matched != 1 || len(resp.Alerts) != 1 {
@@ -244,7 +244,7 @@ func TestNetwideAlertsEndpoint(t *testing.T) {
 
 	t.Run("severity filter", func(t *testing.T) {
 		var r NetwideAlertsResponse
-		get(t, srv, "/netwide/alerts?severity=critical", &r)
+		get(t, srv, "/v1/netwide/alerts?severity=critical", &r)
 		// 4800/4000 netwide-delta score and full quorum: warning only.
 		if r.Matched != 0 {
 			t.Errorf("critical filter matched %d: %+v", r.Matched, r.Alerts)
@@ -252,13 +252,13 @@ func TestNetwideAlertsEndpoint(t *testing.T) {
 	})
 	t.Run("kind filter applies", func(t *testing.T) {
 		var r NetwideAlertsResponse
-		get(t, srv, "/netwide/alerts?kind=heavychange", &r)
+		get(t, srv, "/v1/netwide/alerts?kind=heavychange", &r)
 		if r.Matched != 0 {
 			t.Errorf("kind filter leaked: %+v", r)
 		}
 	})
 	t.Run("bad params", func(t *testing.T) {
-		if code := get(t, srv, "/netwide/alerts?kind=bogus", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/netwide/alerts?kind=bogus", nil); code != http.StatusBadRequest {
 			t.Errorf("bogus kind -> %d", code)
 		}
 	})
@@ -267,14 +267,14 @@ func TestNetwideAlertsEndpoint(t *testing.T) {
 func TestAlertsUnconfigured(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{}))
 	defer srv.Close()
-	if code := get(t, srv, "/alerts", nil); code != http.StatusNotFound {
-		t.Errorf("/alerts without source -> %d", code)
+	if code := get(t, srv, "/v1/alerts", nil); code != http.StatusNotFound {
+		t.Errorf("/v1/alerts without source -> %d", code)
 	}
-	if code := get(t, srv, "/changes", nil); code != http.StatusNotFound {
-		t.Errorf("/changes without source -> %d", code)
+	if code := get(t, srv, "/v1/changes", nil); code != http.StatusNotFound {
+		t.Errorf("/v1/changes without source -> %d", code)
 	}
-	if code := get(t, srv, "/netwide/alerts", nil); code != http.StatusNotFound {
-		t.Errorf("/netwide/alerts without source -> %d", code)
+	if code := get(t, srv, "/v1/netwide/alerts", nil); code != http.StatusNotFound {
+		t.Errorf("/v1/netwide/alerts without source -> %d", code)
 	}
 }
 
@@ -319,11 +319,11 @@ func TestNetwideTopKCache(t *testing.T) {
 	defer srv.Close()
 
 	var r1, r2, r3, r4 TopKResponse
-	get(t, srv, "/netwide/topk?k=5", &r1)
+	get(t, srv, "/v1/netwide/topk?k=5", &r1)
 	if r1.Cached || src.calls.Load() != 1 {
 		t.Fatalf("first request: cached=%v calls=%d", r1.Cached, src.calls.Load())
 	}
-	get(t, srv, "/netwide/topk?k=5", &r2)
+	get(t, srv, "/v1/netwide/topk?k=5", &r2)
 	if !r2.Cached || src.calls.Load() != 1 {
 		t.Fatalf("repeat request not served from cache: cached=%v calls=%d", r2.Cached, src.calls.Load())
 	}
@@ -331,13 +331,13 @@ func TestNetwideTopKCache(t *testing.T) {
 		t.Errorf("cached payload diverges: %+v vs %+v", r2.Flows, r1.Flows)
 	}
 	// A different shape misses.
-	get(t, srv, "/netwide/topk?k=1", &r3)
+	get(t, srv, "/v1/netwide/topk?k=1", &r3)
 	if r3.Cached || src.calls.Load() != 2 {
 		t.Fatalf("different k served from cache: calls=%d", src.calls.Load())
 	}
 	// Rotation invalidates.
 	version.Add(1)
-	get(t, srv, "/netwide/topk?k=5", &r4)
+	get(t, srv, "/v1/netwide/topk?k=5", &r4)
 	if r4.Cached || src.calls.Load() != 3 {
 		t.Fatalf("stale cache after version bump: cached=%v calls=%d", r4.Cached, src.calls.Load())
 	}
@@ -349,8 +349,8 @@ func TestNetwideTopKCache(t *testing.T) {
 		}))
 		defer psrv.Close()
 		var r TopKResponse
-		get(t, psrv, "/netwide/topk?k=5", &r)
-		get(t, psrv, "/netwide/topk?k=5", &r)
+		get(t, psrv, "/v1/netwide/topk?k=5", &r)
+		get(t, psrv, "/v1/netwide/topk?k=5", &r)
 		if r.Cached || plain.calls.Load() != 2 {
 			t.Errorf("cache active without version source: calls=%d", plain.calls.Load())
 		}

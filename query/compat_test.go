@@ -1,10 +1,10 @@
-// Golden compatibility tests for the API versioning: legacy unversioned
-// paths must keep serving byte-identical payloads (now with a
-// Deprecation header), /v1 must serve the same successful payloads with
-// the structured error envelope and strict parameter validation.
+// Contract tests of the /v1 surface: golden success bytes, the error
+// envelope, the request checks every endpoint shares, and the not_found
+// answer for every other path.
 package query
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +14,8 @@ import (
 
 	"repro/flow"
 	"repro/recordstore"
+	"repro/telemetry"
+	"repro/telemetry/events"
 )
 
 // getRaw fetches path and returns the status, headers and exact body.
@@ -45,15 +47,15 @@ func compatServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestLegacyGoldenBytes pins the exact legacy response bytes of the
-// store-backed endpoints. These strings are the frozen v0 contract: a
-// diff here is a breaking change for unversioned clients, not a test to
-// update casually.
-func TestLegacyGoldenBytes(t *testing.T) {
+// TestV1GoldenBytes pins the exact response bytes of the store-backed
+// endpoints. The success bodies are the ones the unversioned paths served
+// before they were removed: a diff here is a breaking change for clients,
+// not a test to update casually.
+func TestV1GoldenBytes(t *testing.T) {
 	srv := compatServer(t)
 
 	goldens := map[string]string{
-		"/epochs": `{
+		"/v1/epochs": `{
   "epochs": [
     {
       "index": 0,
@@ -74,7 +76,7 @@ func TestLegacyGoldenBytes(t *testing.T) {
   "truncated": false
 }
 `,
-		"/flows?epoch=1": `{
+		"/v1/flows?epoch=1": `{
   "epochs_scanned": 1,
   "matched": 1,
   "limited": false,
@@ -91,7 +93,7 @@ func TestLegacyGoldenBytes(t *testing.T) {
   ]
 }
 `,
-		"/topk?k=1": `{
+		"/v1/topk?k=1": `{
   "k": 1,
   "flows": [
     {
@@ -105,8 +107,11 @@ func TestLegacyGoldenBytes(t *testing.T) {
   ]
 }
 `,
-		"/flows?epoch=99": `{
-  "error": "epoch 99 out of range [0,3)"
+		"/v1/flows?epoch=99": `{
+  "error": {
+    "code": "bad_request",
+    "message": "epoch 99 out of range [0,3)"
+  }
 }
 `,
 	}
@@ -115,57 +120,17 @@ func TestLegacyGoldenBytes(t *testing.T) {
 		if body != want {
 			t.Errorf("GET %s body diverged from golden:\ngot:  %q\nwant: %q", path, body, want)
 		}
-		if hdr.Get("Deprecation") != "true" {
-			t.Errorf("GET %s missing Deprecation header", path)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, "/v1/") || !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s Link header = %q", path, link)
+		if ct := hdr.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s Content-Type = %q", path, ct)
 		}
 	}
 }
 
-// TestV1PayloadParity: every endpoint's successful /v1 payload is
-// byte-identical to its legacy payload — only error shapes and
-// strictness differ between the surfaces.
-func TestV1PayloadParity(t *testing.T) {
-	srv := compatServer(t)
-	paths := []string{
-		"/topk?k=2",
-		"/epochs",
-		"/flows?filter=proto%3D17",
-		"/flows?from=1700000300&to=1700000600",
-		"/netwide/topk?k=2",
-		"/alerts",
-		"/alerts?kind=superspreader",
-		"/changes?k=5",
-		"/trace/epochs", // 404s identically: no tracer configured
-	}
-	for _, path := range paths {
-		legacyStatus, legacyHdr, legacyBody := getRaw(t, srv, path)
-		v1Status, v1Hdr, v1Body := getRaw(t, srv, "/v1"+path)
-		if legacyStatus != v1Status {
-			t.Errorf("GET %s: legacy %d vs v1 %d", path, legacyStatus, v1Status)
-		}
-		if legacyStatus == http.StatusOK && legacyBody != v1Body {
-			t.Errorf("GET %s: payloads diverge between surfaces:\nlegacy: %q\nv1:     %q", path, legacyBody, v1Body)
-		}
-		if v1Hdr.Get("Deprecation") != "" {
-			t.Errorf("GET /v1%s carries a Deprecation header", path)
-		}
-		if legacyHdr.Get("Deprecation") != "true" {
-			t.Errorf("GET %s lacks the Deprecation header", path)
-		}
-	}
-}
-
-// TestV1ErrorEnvelope: /v1 errors use {"error":{"code","message"}} while
-// the same failures on legacy paths keep the bare-string shape.
+// TestV1ErrorEnvelope: failures render {"error":{"code","message"}} with
+// the code matching the status.
 func TestV1ErrorEnvelope(t *testing.T) {
 	srv := compatServer(t)
 
-	type envelope struct {
-		Error ErrorBody `json:"error"`
-	}
 	cases := []struct {
 		path   string
 		status int
@@ -177,7 +142,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"/v1/trace/epochs", http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
-		var env envelope
+		var env ErrorEnvelope
 		if code := get(t, srv, tc.path, &env); code != tc.status {
 			t.Errorf("GET %s status %d, want %d", tc.path, code, tc.status)
 		}
@@ -185,45 +150,99 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			t.Errorf("GET %s envelope = %+v, want code %q", tc.path, env.Error, tc.code)
 		}
 	}
+}
 
-	// Same failure, legacy shape: a bare string, no envelope.
-	_, _, body := getRaw(t, srv, "/flows?epoch=99")
-	if strings.Contains(body, `"code"`) {
-		t.Errorf("legacy error grew an envelope: %q", body)
+// TestUnknownPathNotFound: a path no endpoint serves — including the
+// removed unversioned aliases — answers the not_found envelope pointing
+// at /v1/, and adds no per-path metric series.
+func TestUnknownPathNotFound(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := httptest.NewServer(NewHandler(Config{TopK: liveTracker(t), Registry: reg}))
+	defer srv.Close()
+
+	for _, path := range []string{"/v1/nope", "/topk", "/topk?k=1", "/"} {
+		var env ErrorEnvelope
+		if code := get(t, srv, path, &env); code != http.StatusNotFound {
+			t.Errorf("GET %s status %d, want 404", path, code)
+		}
+		if env.Error.Code != "not_found" || !strings.Contains(env.Error.Message, "/v1/") {
+			t.Errorf("GET %s envelope = %+v", path, env.Error)
+		}
 	}
-	if !strings.Contains(body, `"error": "epoch 99 out of range`) {
-		t.Errorf("legacy error shape changed: %q", body)
+	var metrics strings.Builder
+	if err := reg.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(metrics.String(), "http_requests_total") {
+		t.Errorf("unknown paths were counted:\n%s", metrics.String())
 	}
 }
 
-// TestStrictParams: /v1 rejects parameters the endpoint does not use;
-// legacy keeps accepting them unless strict=1 opts in.
-func TestStrictParams(t *testing.T) {
-	srv := compatServer(t)
+// TestSharedRequestChecks runs the checks register applies to every
+// endpoint, in their one order: the method (405), then the parameter
+// vocabulary (400), then the endpoint's source (404), then the parameter
+// values (400). Each endpoint gets a foreign parameter that another
+// endpoint accepts and would parse, so only its own vocabulary rejects it.
+func TestSharedRequestChecks(t *testing.T) {
+	tk := liveTracker(t)
+	configured := httptest.NewServer(NewHandler(Config{
+		TopK:          tk,
+		Store:         FileStore(testStore(t)),
+		Netwide:       []NamedSource{{Name: "sw1", Source: tk}},
+		Alerts:        testDetector(t),
+		NetwideAlerts: testCorrelator(t),
+		Events:        events.NewBus(8),
+		Trace:         events.NewTracer(4),
+	}))
+	defer configured.Close()
+	bare := httptest.NewServer(NewHandler(Config{}))
+	defer bare.Close()
 
-	// epoch= is meaningful on /flows but not /topk. Legacy /topk has
-	// always silently accepted it — frozen behavior.
-	if status, _, _ := getRaw(t, srv, "/topk?k=1&epoch=1"); status != http.StatusOK {
-		t.Errorf("legacy lenient /topk?epoch= status %d", status)
+	endpoints := []struct {
+		path     string
+		foreign  string // a parameter outside the endpoint's vocabulary
+		badValue string // a parameter inside it, with a value that fails to parse
+	}{
+		{"/v1/topk", "epoch=1", "k=0"},
+		{"/v1/epochs", "k=1", "limit=0"},
+		{"/v1/flows", "k=1", "filter=nope"},
+		{"/v1/netwide/topk", "epoch=1", "k=0"},
+		{"/v1/netwide/alerts", "k=1", "kind=bogus"},
+		{"/v1/alerts", "k=1", "severity=bogus"},
+		{"/v1/changes", "severity=warning", "epoch=-1"},
+		{"/v1/events", "limit=1", "after=zzz"},
+		{"/v1/trace/epochs", "after=1", "limit=0"},
 	}
-	// strict=1 opts the legacy path into the /v1 vocabulary check.
-	if status, _, body := getRaw(t, srv, "/topk?k=1&epoch=1&strict=1"); status != http.StatusBadRequest {
-		t.Errorf("legacy strict /topk?epoch= status %d body %q", status, body)
+	check := func(t *testing.T, srv *httptest.Server, method, path string, status int, code string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s: decode: %v", method, path, err)
+		}
+		if resp.StatusCode != status || env.Error.Code != code {
+			t.Errorf("%s %s = %d %+v, want %d %s", method, path, resp.StatusCode, env.Error, status, code)
+		}
 	}
-	// /v1 is always strict.
-	if status, _, _ := getRaw(t, srv, "/v1/topk?k=1&epoch=1"); status != http.StatusBadRequest {
-		t.Errorf("/v1/topk?epoch= not rejected")
-	}
-	if status, _, _ := getRaw(t, srv, "/v1/topk?k=1&filter=proto%3D6"); status != http.StatusOK {
-		t.Errorf("/v1/topk with applicable params rejected")
-	}
-	// strict itself is accepted (and redundant) on /v1.
-	if status, _, _ := getRaw(t, srv, "/v1/topk?k=1&strict=1"); status != http.StatusOK {
-		t.Errorf("/v1/topk?strict=1 rejected")
-	}
-	// Unknown keys still fail everywhere, as they always have.
-	if status, _, _ := getRaw(t, srv, "/topk?bogus=1"); status != http.StatusBadRequest {
-		t.Errorf("legacy unknown key accepted")
+	for _, ep := range endpoints {
+		t.Run(strings.TrimPrefix(ep.path, "/v1/"), func(t *testing.T) {
+			everything := ep.path + "?" + ep.foreign + "&" + ep.badValue
+			check(t, configured, http.MethodPost, ep.path, http.StatusMethodNotAllowed, "method_not_allowed")
+			check(t, bare, http.MethodPost, everything, http.StatusMethodNotAllowed, "method_not_allowed")
+			check(t, configured, http.MethodGet, ep.path+"?"+ep.foreign, http.StatusBadRequest, "bad_request")
+			check(t, bare, http.MethodGet, everything, http.StatusBadRequest, "bad_request")
+			check(t, bare, http.MethodGet, ep.path, http.StatusNotFound, "not_found")
+			check(t, bare, http.MethodGet, ep.path+"?"+ep.badValue, http.StatusNotFound, "not_found")
+			check(t, configured, http.MethodGet, ep.path+"?"+ep.badValue, http.StatusBadRequest, "bad_request")
+		})
 	}
 }
 

@@ -62,9 +62,6 @@ func ParseEventParams(q url.Values) (EventParams, error) {
 			p.After = int64(n)
 		case "limit":
 			p.Limit, err = parseBounded(val, 1, MaxLimit)
-		case "strict":
-			// Consumed by the handler layer (checkStrict).
-			_, err = strconv.ParseBool(val)
 		default:
 			return EventParams{}, fmt.Errorf("query: unknown parameter %q", key)
 		}
@@ -92,29 +89,19 @@ func parseKinds(val string) (events.KindSet, error) {
 // frame whose id is the bus sequence number, so EventSource reconnects
 // resume via Last-Event-ID; events missed on a stalled connection are
 // reported in `: dropped N` comments rather than silently skipped.
-func (h *handler) events(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (h *handler) events(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if h.cfg.Events == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no event bus configured"))
+		writeError(w, http.StatusNotFound, errors.New("no event bus configured"))
 		return
 	}
-	if r.Method != http.MethodGet {
-		writeError(w, v, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query()
-	if err := checkStrict(v, q, eventParams); err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return
-	}
-	p, err := ParseEventParams(q)
-	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
+	p, ok := parse(w, q, ParseEventParams)
+	if !ok {
 		return
 	}
 	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
 		n, err := strconv.ParseUint(lid, 10, 63)
 		if err != nil {
-			writeError(w, v, http.StatusBadRequest, fmt.Errorf("query: bad Last-Event-ID: %w", err))
+			writeError(w, http.StatusBadRequest, fmt.Errorf("query: bad Last-Event-ID: %w", err))
 			return
 		}
 		p.After = int64(n)
@@ -188,23 +175,13 @@ type TraceResponse struct {
 
 // traceEpochs serves the retained epoch timelines, newest first, honoring
 // vantage= and limit=.
-func (h *handler) traceEpochs(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (h *handler) traceEpochs(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if h.cfg.Trace == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no epoch tracer configured"))
+		writeError(w, http.StatusNotFound, errors.New("no epoch tracer configured"))
 		return
 	}
-	if r.Method != http.MethodGet {
-		writeError(w, v, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query()
-	if err := checkStrict(v, q, traceParams); err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return
-	}
-	p, err := ParseEventParams(q)
-	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
+	p, ok := parse(w, q, ParseEventParams)
+	if !ok {
 		return
 	}
 	all := h.cfg.Trace.Append(nil)

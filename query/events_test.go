@@ -154,7 +154,7 @@ func TestEventsSSEResume(t *testing.T) {
 	// First connection: replay from the start (after=0), read 2 frames,
 	// disconnect.
 	conn1, cancel1 := context.WithCancel(ctx)
-	resp, sc := sseGet(t, conn1, srv.URL+"/events?after=0", "")
+	resp, sc := sseGet(t, conn1, srv.URL+"/v1/events?after=0", "")
 	got := readFrames(t, ctx, sc, 2)
 	cancel1()
 	resp.Body.Close()
@@ -167,7 +167,7 @@ func TestEventsSSEResume(t *testing.T) {
 
 	// Reconnect with Last-Event-ID: 2 — the remaining 3 replay, then a
 	// live event follows.
-	resp2, sc2 := sseGet(t, ctx, srv.URL+"/events", strconv.FormatUint(got[1].id, 10))
+	resp2, sc2 := sseGet(t, ctx, srv.URL+"/v1/events", strconv.FormatUint(got[1].id, 10))
 	defer resp2.Body.Close()
 	bus.Publish(events.Event{Kind: events.KindAlert, Severity: events.SeverityCritical, Epoch: 5, Msg: "alert: heavychange"})
 	frames := readFrames(t, ctx, sc2, 4)
@@ -200,7 +200,7 @@ func TestEventsSSEFilter(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, sc := sseGet(t, ctx, srv.URL+"/events?after=0&kind=alert", "")
+	resp, sc := sseGet(t, ctx, srv.URL+"/v1/events?after=0&kind=alert", "")
 	defer resp.Body.Close()
 
 	bus.Publish(events.Event{Kind: events.KindEpoch, Msg: "noise"})
@@ -221,7 +221,7 @@ func TestEventsEndpointErrors(t *testing.T) {
 	// No bus configured: 404.
 	srv := httptest.NewServer(NewHandler(Config{}))
 	defer srv.Close()
-	for _, path := range []string{"/events", "/trace/epochs"} {
+	for _, path := range []string{"/v1/events", "/v1/trace/epochs"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -236,16 +236,16 @@ func TestEventsEndpointErrors(t *testing.T) {
 	srv2 := httptest.NewServer(NewHandler(Config{Events: bus}))
 	defer srv2.Close()
 	for _, q := range []string{"?kind=bogus", "?after=zzz", "?bogus=1"} {
-		resp, err := http.Get(srv2.URL + "/events" + q)
+		resp, err := http.Get(srv2.URL + "/v1/events" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("/events%s: status %d", q, resp.StatusCode)
+			t.Fatalf("/v1/events%s: status %d", q, resp.StatusCode)
 		}
 	}
-	req, _ := http.NewRequest(http.MethodGet, srv2.URL+"/events", nil)
+	req, _ := http.NewRequest(http.MethodGet, srv2.URL+"/v1/events", nil)
 	req.Header.Set("Last-Event-ID", "not-a-number")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -275,7 +275,7 @@ func TestTraceEpochs(t *testing.T) {
 
 	get := func(q string) TraceResponse {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/trace/epochs" + q)
+		resp, err := http.Get(srv.URL + "/v1/trace/epochs" + q)
 		if err != nil {
 			t.Fatal(err)
 		}

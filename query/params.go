@@ -67,10 +67,6 @@ func ParseParams(q url.Values) (Params, error) {
 			p.From, err = parseTime(val)
 		case "to":
 			p.To, err = parseTime(val)
-		case "strict":
-			// Strictness gate, consumed by the handler layer (checkStrict);
-			// validated here so strict=bogus still fails loudly.
-			_, err = strconv.ParseBool(val)
 		default:
 			return Params{}, fmt.Errorf("query: unknown parameter %q", key)
 		}

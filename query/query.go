@@ -1,38 +1,13 @@
 // Package query is the read path of the collection pipeline: an HTTP/JSON
-// surface answering live and historical flow questions without touching
-// the ingest hot path.
-//
-// Nine endpoints:
-//
-//	GET /topk?k=10                  largest flows right now, from the live
-//	                                top-k tracker — no epoch dump involved
-//	GET /epochs                     stored epoch listing (index, time, size)
-//	GET /flows?filter=...&limit=    filtered historical records from the
-//	                                mmap-backed store, by epoch or time range
-//	GET /netwide/topk?k=10          top-k over the merged network-wide view
-//	                                of every registered vantage point
-//	GET /alerts?kind=...&severity=  recent detection alerts (heavy change,
-//	                                forecast, superspreader, victim fan-in,
-//	                                anomaly) from the ring
-//	GET /changes?k=10&epoch=        per-epoch heavy-change top-k lists
-//	GET /netwide/alerts?severity=   cross-vantage correlated alerts with
-//	                                per-vantage evidence
-//	GET /events?kind=&severity=     live SSE stream of structured pipeline
-//	                                events (epoch spans, alerts, recovery,
-//	                                degradation), resumable via Last-Event-ID
-//	GET /trace/epochs?limit=        the last K epoch timelines with
-//	                                per-stage drain durations
+// surface under /v1/ answering live and historical flow questions without
+// touching the ingest hot path. API.md lists the endpoints, their
+// parameters and the error envelope.
 //
 // The live side reads an online summary (a topk.Tracker via the TopKSource
 // surface) that the epoch publisher maintains incrementally; the historical
 // side random-accesses a recordstore.EpochSource — a flat mmap store or a
 // tiered directory with compressed cold segments, transparently. Both are
 // query-time-only costs: ingestion never blocks on a query.
-//
-// Every endpoint is served twice: under its legacy unversioned path
-// (payloads frozen byte-for-byte, plus a Deprecation header) and under
-// /v1/ (structured {"error":{"code","message"}} envelope, strict
-// parameter validation). New clients use /v1; see API.md.
 package query
 
 import (
@@ -187,18 +162,12 @@ type FlowsResponse struct {
 	RollupEpochs int `json:"rollup_epochs,omitempty"`
 }
 
-// ErrorResponse is the legacy error payload: a bare string. The /v1
-// surface wraps errors in ErrorEnvelope instead.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
-// ErrorEnvelope is the /v1 error payload: {"error":{"code","message"}}.
+// ErrorEnvelope is the error payload: {"error":{"code","message"}}.
 type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// ErrorBody is the structured error of the /v1 surface.
+// ErrorBody is the structured error inside ErrorEnvelope.
 type ErrorBody struct {
 	// Code is a stable machine-readable identifier (bad_request,
 	// not_found, method_not_allowed, unavailable, internal).
@@ -207,19 +176,8 @@ type ErrorBody struct {
 	Message string `json:"message"`
 }
 
-// apiVersion selects the response conventions of one registered path:
-// the frozen legacy surface or /v1.
-type apiVersion int
-
-const (
-	apiLegacy apiVersion = iota
-	apiV1
-)
-
-// Per-endpoint parameter vocabularies, enforced on /v1 (always) and on
-// legacy paths under strict=1. The legacy default keeps accepting any
-// globally-known parameter for compatibility, even where it has no
-// effect.
+// Per-endpoint parameter vocabularies: a request carrying any other
+// parameter is rejected before its values are parsed.
 var (
 	topkParams   = []string{"k", "filter"}
 	epochsParams = []string{"from", "to", "limit"}
@@ -231,32 +189,42 @@ var (
 )
 
 // NewHandler builds the HTTP handler serving cfg's sources. Every
-// endpoint is registered under its legacy unversioned path and under
-// /v1/; the legacy registration stamps Deprecation and successor-version
-// Link headers on every response.
+// endpoint is registered once, under /v1/; any other path answers the
+// not_found envelope.
 func NewHandler(cfg Config) http.Handler {
 	h := &handler{cfg: cfg}
 	mux := http.NewServeMux()
-	register := func(path string, fn func(http.ResponseWriter, *http.Request, apiVersion)) {
-		successor := `</v1` + path + `>; rel="successor-version"`
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", successor)
-			fn(w, r, apiLegacy)
-		})
+	// register applies the checks every endpoint shares, in one order:
+	// the method, then the parameter vocabulary. fn gets the parsed query
+	// and then checks its source and parses the parameter values.
+	register := func(path string, vocabulary []string, fn func(http.ResponseWriter, *http.Request, url.Values)) {
 		mux.HandleFunc("/v1"+path, func(w http.ResponseWriter, r *http.Request) {
-			fn(w, r, apiV1)
+			if r.Method != http.MethodGet {
+				writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+				return
+			}
+			q := r.URL.Query()
+			for key := range q {
+				if !slices.Contains(vocabulary, key) {
+					writeError(w, http.StatusBadRequest, fmt.Errorf("query: parameter %q is not accepted by this endpoint", key))
+					return
+				}
+			}
+			fn(w, r, q)
 		})
 	}
-	register("/topk", h.topK)
-	register("/epochs", h.epochs)
-	register("/flows", h.flows)
-	register("/netwide/topk", h.netwideTopK)
-	register("/netwide/alerts", h.netwideAlerts)
-	register("/alerts", h.alerts)
-	register("/changes", h.changes)
-	register("/events", h.events)
-	register("/trace/epochs", h.traceEpochs)
+	register("/topk", topkParams, h.topK)
+	register("/epochs", epochsParams, h.epochs)
+	register("/flows", flowsParams, h.flows)
+	register("/netwide/topk", topkParams, h.netwideTopK)
+	register("/netwide/alerts", alertParams, h.netwideAlerts)
+	register("/alerts", alertParams, h.alerts)
+	register("/changes", changeParams, h.changes)
+	register("/events", eventParams, h.events)
+	register("/trace/epochs", traceParams, h.traceEpochs)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no endpoint at %s: the query API is served under /v1/", r.URL.Path))
+	})
 	if cfg.Registry != nil {
 		return telemetry.InstrumentMux(cfg.Registry, mux)
 	}
@@ -295,21 +263,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the connection is the only failure mode left
 }
 
-// writeError renders err in the version's error shape: the legacy bare
-// {"error": "..."} string or the /v1 {"error":{"code","message"}}
-// envelope.
-func writeError(w http.ResponseWriter, v apiVersion, status int, err error) {
-	if v == apiV1 {
-		writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
-			Code:    errorCode(status),
-			Message: err.Error(),
-		}})
-		return
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+// writeError renders err as an ErrorEnvelope.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
+		Code:    errorCode(status),
+		Message: err.Error(),
+	}})
 }
 
-// errorCode maps an HTTP status to the /v1 stable error code.
+// errorCode maps an HTTP status to its stable error code.
 func errorCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:
@@ -325,38 +287,13 @@ func errorCode(status int) string {
 	}
 }
 
-// checkStrict rejects parameters outside the endpoint's vocabulary when
-// the request is strict: always on /v1, opt-in via strict=1 on legacy
-// paths (whose lenient default — accepting any globally-known parameter,
-// effective or not — is frozen for compatibility).
-func checkStrict(v apiVersion, q url.Values, allowed []string) error {
-	if v != apiV1 && q.Get("strict") != "1" {
-		return nil
-	}
-	for key := range q {
-		if key == "strict" || slices.Contains(allowed, key) {
-			continue
-		}
-		return fmt.Errorf("query: parameter %q is not accepted by this endpoint", key)
-	}
-	return nil
-}
-
-// decode enforces GET, strictness, and parses parameters.
-func decode(w http.ResponseWriter, r *http.Request, v apiVersion, allowed []string) (Params, bool) {
-	if r.Method != http.MethodGet {
-		writeError(w, v, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return Params{}, false
-	}
-	q := r.URL.Query()
-	if err := checkStrict(v, q, allowed); err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return Params{}, false
-	}
-	p, err := ParseParams(q)
+// parse decodes q's values with fn; on failure the 400 is already
+// written and ok is false.
+func parse[P any](w http.ResponseWriter, q url.Values, fn func(url.Values) (P, error)) (p P, ok bool) {
+	p, err := fn(q)
 	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
-		return Params{}, false
+		writeError(w, http.StatusBadRequest, err)
+		return p, false
 	}
 	return p, true
 }
@@ -374,13 +311,13 @@ func recordJSON(epoch int, r flow.Record) FlowJSON {
 	}
 }
 
-func (h *handler) topK(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	p, ok := decode(w, r, v, topkParams)
-	if !ok {
+func (h *handler) topK(w http.ResponseWriter, r *http.Request, q url.Values) {
+	if h.cfg.TopK == nil {
+		writeError(w, http.StatusNotFound, errors.New("no live top-k source configured"))
 		return
 	}
-	if h.cfg.TopK == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no live top-k source configured"))
+	p, ok := parse(w, q, ParseParams)
+	if !ok {
 		return
 	}
 	// With a filter, the top k *matching* flows are wanted, which may sit
@@ -404,13 +341,13 @@ func (h *handler) topK(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) netwideTopK(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	p, ok := decode(w, r, v, topkParams)
-	if !ok {
+func (h *handler) netwideTopK(w http.ResponseWriter, r *http.Request, q url.Values) {
+	if len(h.cfg.Netwide) == 0 {
+		writeError(w, http.StatusNotFound, errors.New("no netwide sources configured"))
 		return
 	}
-	if len(h.cfg.Netwide) == 0 {
-		writeError(w, v, http.StatusNotFound, errors.New("no netwide sources configured"))
+	p, ok := parse(w, q, ParseParams)
+	if !ok {
 		return
 	}
 
@@ -473,25 +410,25 @@ func (h *handler) netwideTopK(w http.ResponseWriter, r *http.Request, v apiVersi
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) epochs(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	p, ok := decode(w, r, v, epochsParams)
-	if !ok {
-		return
-	}
-	src, release, ok := h.openStore(w, v)
+func (h *handler) epochs(w http.ResponseWriter, r *http.Request, q url.Values) {
+	src, release, ok := h.openStore(w)
 	if !ok {
 		return
 	}
 	defer release()
+	p, ok := parse(w, q, ParseParams)
+	if !ok {
+		return
+	}
 
 	lo, hi := 0, src.Epochs()
 	if !p.From.IsZero() || !p.To.IsZero() {
 		lo, hi = src.Range(p.From, p.To)
 	}
-	// The limit only bites when given explicitly: the legacy contract is
-	// "list everything" and stays that way without a limit=.
+	// The limit only bites when given explicitly: without a limit= the
+	// listing is complete.
 	limited := false
-	if r.URL.Query().Has("limit") && hi-lo > p.Limit {
+	if q.Has("limit") && hi-lo > p.Limit {
 		hi = lo + p.Limit
 		limited = true
 	}
@@ -522,20 +459,20 @@ func (h *handler) epochs(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) flows(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	p, ok := decode(w, r, v, flowsParams)
-	if !ok {
-		return
-	}
-	src, release, ok := h.openStore(w, v)
+func (h *handler) flows(w http.ResponseWriter, r *http.Request, q url.Values) {
+	src, release, ok := h.openStore(w)
 	if !ok {
 		return
 	}
 	defer release()
+	p, ok := parse(w, q, ParseParams)
+	if !ok {
+		return
+	}
 
 	lo, hi, err := recordstore.SourceRange(src, p.Epoch, p.From, p.To)
 	if err != nil {
-		writeError(w, v, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	info, _ := src.(recordstore.InfoSource)
@@ -545,7 +482,7 @@ func (h *handler) flows(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	for i := lo; i < hi && !resp.Limited; i++ {
 		ep, err := src.AppendEpochAt(i, buf[:0])
 		if err != nil {
-			writeError(w, v, http.StatusInternalServerError, err)
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		buf = ep.Records
@@ -573,14 +510,14 @@ func (h *handler) flows(w http.ResponseWriter, r *http.Request, v apiVersion) {
 
 // openStore resolves the request's store; on failure the response is
 // already written and ok is false.
-func (h *handler) openStore(w http.ResponseWriter, v apiVersion) (src recordstore.EpochSource, release func() error, ok bool) {
+func (h *handler) openStore(w http.ResponseWriter) (src recordstore.EpochSource, release func() error, ok bool) {
 	if h.cfg.Store == nil {
-		writeError(w, v, http.StatusNotFound, errors.New("no store configured"))
+		writeError(w, http.StatusNotFound, errors.New("no store configured"))
 		return nil, nil, false
 	}
 	src, release, err := h.cfg.Store()
 	if err != nil {
-		writeError(w, v, http.StatusServiceUnavailable, err)
+		writeError(w, http.StatusServiceUnavailable, err)
 		return nil, nil, false
 	}
 	return src, release, true

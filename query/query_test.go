@@ -97,7 +97,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("topk", func(t *testing.T) {
 		var resp TopKResponse
-		if code := get(t, srv, "/topk?k=2", &resp); code != http.StatusOK {
+		if code := get(t, srv, "/v1/topk?k=2", &resp); code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
 		if len(resp.Flows) != 2 {
@@ -113,13 +113,13 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("topk-filtered", func(t *testing.T) {
 		var resp TopKResponse
-		get(t, srv, "/topk?k=10&filter=proto%3D17", &resp)
+		get(t, srv, "/v1/topk?k=10&filter=proto%3D17", &resp)
 		if len(resp.Flows) != 1 || resp.Flows[0].Proto != 17 {
 			t.Fatalf("filtered flows = %+v", resp.Flows)
 		}
 		// The only proto-17 flow ranks below the global top 1: a filtered
 		// k=1 query must still surface it (filter before the k cut).
-		get(t, srv, "/topk?k=1&filter=proto%3D17", &resp)
+		get(t, srv, "/v1/topk?k=1&filter=proto%3D17", &resp)
 		if len(resp.Flows) != 1 || resp.Flows[0].Proto != 17 {
 			t.Fatalf("filtered k=1 flows = %+v", resp.Flows)
 		}
@@ -127,7 +127,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("epochs", func(t *testing.T) {
 		var resp EpochsResponse
-		if code := get(t, srv, "/epochs", &resp); code != http.StatusOK {
+		if code := get(t, srv, "/v1/epochs", &resp); code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
 		if len(resp.Epochs) != 3 || resp.Truncated {
@@ -140,7 +140,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("flows-filter", func(t *testing.T) {
 		var resp FlowsResponse
-		get(t, srv, "/flows?filter=dport%3D443", &resp)
+		get(t, srv, "/v1/flows?filter=dport%3D443", &resp)
 		if resp.EpochsScanned != 3 || resp.Matched != 2 {
 			t.Fatalf("scanned %d matched %d, want 3/2", resp.EpochsScanned, resp.Matched)
 		}
@@ -151,11 +151,11 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("flows-epoch", func(t *testing.T) {
 		var resp FlowsResponse
-		get(t, srv, "/flows?epoch=1", &resp)
+		get(t, srv, "/v1/flows?epoch=1", &resp)
 		if resp.EpochsScanned != 1 || resp.Matched != 1 || resp.Flows[0].Dport != 53 {
 			t.Fatalf("epoch=1 resp = %+v", resp)
 		}
-		if code := get(t, srv, "/flows?epoch=9", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/flows?epoch=9", nil); code != http.StatusBadRequest {
 			t.Errorf("out-of-range epoch gave status %d", code)
 		}
 	})
@@ -163,7 +163,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	t.Run("flows-time-range", func(t *testing.T) {
 		var resp FlowsResponse
 		// Epoch timestamps are 1700000000 + 300i; [1700000300, 1700000600).
-		get(t, srv, "/flows?from=1700000300&to=1700000600", &resp)
+		get(t, srv, "/v1/flows?from=1700000300&to=1700000600", &resp)
 		if resp.EpochsScanned != 1 || resp.Flows[0].Proto != 17 {
 			t.Fatalf("time-range resp = %+v", resp)
 		}
@@ -171,7 +171,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("flows-limit", func(t *testing.T) {
 		var resp FlowsResponse
-		get(t, srv, "/flows?limit=1", &resp)
+		get(t, srv, "/v1/flows?limit=1", &resp)
 		if !resp.Limited || len(resp.Flows) != 1 {
 			t.Fatalf("limited resp = %+v", resp)
 		}
@@ -179,7 +179,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	t.Run("netwide", func(t *testing.T) {
 		var resp TopKResponse
-		if code := get(t, srv, "/netwide/topk?k=2", &resp); code != http.StatusOK {
+		if code := get(t, srv, "/v1/netwide/topk?k=2", &resp); code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
 		if len(resp.Sources) != 2 {
@@ -194,23 +194,23 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 		// Filtered netwide: the top matching flow below the global top k
 		// must surface (filter applies before the k cut).
-		get(t, srv, "/netwide/topk?k=1&filter=proto%3D17", &resp)
+		get(t, srv, "/v1/netwide/topk?k=1&filter=proto%3D17", &resp)
 		if len(resp.Flows) != 1 || resp.Flows[0].Proto != 17 {
 			t.Fatalf("filtered netwide = %+v", resp.Flows)
 		}
 	})
 
 	t.Run("errors", func(t *testing.T) {
-		if code := get(t, srv, "/topk?k=0", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/topk?k=0", nil); code != http.StatusBadRequest {
 			t.Errorf("k=0 gave %d", code)
 		}
-		if code := get(t, srv, "/topk?bogus=1", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/topk?bogus=1", nil); code != http.StatusBadRequest {
 			t.Errorf("unknown param gave %d", code)
 		}
-		if code := get(t, srv, "/flows?filter=nope", nil); code != http.StatusBadRequest {
+		if code := get(t, srv, "/v1/flows?filter=nope", nil); code != http.StatusBadRequest {
 			t.Errorf("bad filter gave %d", code)
 		}
-		resp, err := srv.Client().Post(srv.URL+"/topk", "text/plain", nil)
+		resp, err := srv.Client().Post(srv.URL+"/v1/topk", "text/plain", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestHandlerUnconfigured(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{}))
 	defer srv.Close()
-	for _, path := range []string{"/topk", "/epochs", "/flows", "/netwide/topk"} {
+	for _, path := range []string{"/v1/topk", "/v1/epochs", "/v1/flows", "/v1/netwide/topk"} {
 		if code := get(t, srv, path, nil); code != http.StatusNotFound {
 			t.Errorf("%s on empty config gave %d, want 404", path, code)
 		}
@@ -243,7 +243,7 @@ func TestStaticStore(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{Store: StaticStore(m)}))
 	defer srv.Close()
 	var resp EpochsResponse
-	get(t, srv, "/epochs", &resp)
+	get(t, srv, "/v1/epochs", &resp)
 	if len(resp.Epochs) != 3 {
 		t.Fatalf("epochs = %+v", resp)
 	}
@@ -269,7 +269,7 @@ func TestFileStoreSeesGrowth(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{Store: FileStore(path)}))
 	defer srv.Close()
 	var resp EpochsResponse
-	get(t, srv, "/epochs", &resp)
+	get(t, srv, "/v1/epochs", &resp)
 	if len(resp.Epochs) != 1 {
 		t.Fatalf("first read: %d epochs, want 1", len(resp.Epochs))
 	}
@@ -280,7 +280,7 @@ func TestFileStoreSeesGrowth(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	get(t, srv, "/epochs", &resp)
+	get(t, srv, "/v1/epochs", &resp)
 	if len(resp.Epochs) != 2 {
 		t.Fatalf("after growth: %d epochs, want 2", len(resp.Epochs))
 	}
@@ -325,7 +325,7 @@ func TestFlowsTimeRangeBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var resp FlowsResponse
-		if code := get(t, srv, "/flows?"+tc.q, &resp); code != http.StatusOK {
+		if code := get(t, srv, "/v1/flows?"+tc.q, &resp); code != http.StatusOK {
 			t.Fatalf("%s: status %d", tc.name, code)
 		}
 		if resp.EpochsScanned != tc.scanned {

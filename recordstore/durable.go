@@ -265,8 +265,10 @@ type FileWriter struct {
 
 // OpenFile opens (creating if needed) the store at path for appending,
 // recovering a torn tail first, and returns a policy-synced writer
-// positioned after the last intact epoch. The Recovery reports what was
-// found. The caller must Close the returned writer.
+// positioned after the last intact epoch. A freshly created store gets
+// its header at once, so it opens for reading as zero epochs before the
+// first epoch is written. The Recovery reports what was found. The
+// caller must Close the returned writer.
 func OpenFile(path string, pol SyncPolicy) (*FileWriter, Recovery, error) {
 	rec, err := RecoverTail(path)
 	if err != nil {
@@ -278,7 +280,12 @@ func OpenFile(path string, pol SyncPolicy) (*FileWriter, Recovery, error) {
 	}
 	w := NewWriter(f)
 	w.SetSyncPolicy(f, pol)
-	if !rec.Created {
+	if rec.Created {
+		if err := w.Flush(); err != nil {
+			f.Close()
+			return nil, Recovery{}, err
+		}
+	} else {
 		// The header is already on disk; resume the epoch count so
 		// Writer.Epochs reflects the whole store, not just this run.
 		w.started = true

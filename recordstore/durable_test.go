@@ -182,6 +182,37 @@ func TestRecoverTailMissingAndEmpty(t *testing.T) {
 	}
 }
 
+// TestOpenFileFreshStoreReadable: a store OpenFile has just created —
+// from no file, or from the empty file a writer killed before its first
+// flush leaves — opens for reading as zero epochs.
+func TestOpenFileFreshStoreReadable(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.frec")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "absent.frec"), empty} {
+		fw, rec, err := OpenFile(path, SyncPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Created {
+			t.Errorf("%s: Created=false", path)
+		}
+		src, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: open fresh store: %v", path, err)
+		}
+		if n := src.Epochs(); n != 0 {
+			t.Errorf("%s: fresh store lists %d epochs", path, n)
+		}
+		src.Close()
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestOpenFileResume: epochs appended across three writer generations —
 // one of them crash-torn — read back as one contiguous store.
 func TestOpenFileResume(t *testing.T) {
