@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,95 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		if env.Error.Code != tc.code || env.Error.Message == "" {
 			t.Errorf("GET %s envelope = %+v, want code %q", tc.path, env.Error, tc.code)
 		}
+	}
+}
+
+// TestV1PayloadParity: every /v1 payload is byte-identical whichever way
+// the same store is opened — a flat file reopened per request
+// (FileStore) or one mapping held for the server's life (StaticStore) —
+// and no /v1 response carries a Deprecation header.
+func TestV1PayloadParity(t *testing.T) {
+	path := testStore(t)
+	m, err := recordstore.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	serve := func(store StoreOpener) *httptest.Server {
+		tk := liveTracker(t)
+		srv := httptest.NewServer(NewHandler(Config{
+			TopK:    tk,
+			Store:   store,
+			Netwide: []NamedSource{{Name: "sw1", Source: tk}},
+			Alerts:  testDetector(t),
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	file, mapped := serve(FileStore(path)), serve(StaticStore(m))
+
+	paths := []string{
+		"/v1/topk?k=2",
+		"/v1/epochs",
+		"/v1/epochs?limit=2",
+		"/v1/flows?filter=proto%3D17",
+		"/v1/flows?from=1700000300&to=1700000600",
+		"/v1/flows?epoch=99", // the same 400 envelope from both
+		"/v1/netwide/topk?k=2",
+		"/v1/alerts",
+		"/v1/alerts?kind=superspreader",
+		"/v1/changes?k=5",
+		"/v1/trace/epochs", // 404s identically: no tracer configured
+	}
+	for _, p := range paths {
+		fileStatus, fileHdr, fileBody := getRaw(t, file, p)
+		mappedStatus, mappedHdr, mappedBody := getRaw(t, mapped, p)
+		if fileStatus != mappedStatus {
+			t.Errorf("GET %s: FileStore %d vs StaticStore %d", p, fileStatus, mappedStatus)
+		}
+		if fileBody != mappedBody {
+			t.Errorf("GET %s: payloads diverge between stores:\nfile:   %q\nmapped: %q", p, fileBody, mappedBody)
+		}
+		if fileHdr.Get("Deprecation") != "" || mappedHdr.Get("Deprecation") != "" {
+			t.Errorf("GET %s carries a Deprecation header", p)
+		}
+	}
+}
+
+// TestStrictParams: /v1 checks every parameter name against the
+// endpoint's vocabulary; there is no lenient surface and no strict=
+// switch left to opt into it.
+func TestStrictParams(t *testing.T) {
+	srv := compatServer(t)
+
+	// epoch= is meaningful on /flows but not /topk.
+	if status, _, body := getRaw(t, srv, "/v1/topk?k=1&epoch=1"); status != http.StatusBadRequest || !strings.Contains(body, `\"epoch\"`) {
+		t.Errorf("/v1/topk?epoch= = %d %q, want 400 naming epoch", status, body)
+	}
+	if status, _, _ := getRaw(t, srv, "/v1/topk?k=1&filter=proto%3D6"); status != http.StatusOK {
+		t.Errorf("/v1/topk with applicable params rejected")
+	}
+	// strict is no longer a parameter of any endpoint.
+	for _, p := range []string{"/v1/topk?k=1&strict=1", "/v1/flows?strict=1", "/v1/alerts?strict=0"} {
+		if status, _, body := getRaw(t, srv, p); status != http.StatusBadRequest || !strings.Contains(body, `\"strict\"`) {
+			t.Errorf("GET %s = %d %q, want 400 naming strict", p, status, body)
+		}
+	}
+	if _, err := ParseParams(url.Values{"strict": {"1"}}); err == nil {
+		t.Error("ParseParams accepted strict=1")
+	}
+	if _, err := ParseAlertParams(url.Values{"strict": {"1"}}); err == nil {
+		t.Error("ParseAlertParams accepted strict=1")
+	}
+	if _, err := ParseEventParams(url.Values{"strict": {"1"}}); err == nil {
+		t.Error("ParseEventParams accepted strict=1")
+	}
+	// Unknown keys fail on /v1; the lenient unversioned path is gone.
+	if status, _, _ := getRaw(t, srv, "/v1/topk?bogus=1"); status != http.StatusBadRequest {
+		t.Errorf("/v1 unknown key accepted")
+	}
+	if status, _, _ := getRaw(t, srv, "/topk?k=1&epoch=1"); status != http.StatusNotFound {
+		t.Errorf("unversioned /topk status %d, want 404", status)
 	}
 }
 
